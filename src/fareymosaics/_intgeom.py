@@ -100,36 +100,6 @@ def hclip(verts, a, b, c):
     return hcanon(out)
 
 
-def harea2(verts):
-    """Twice the signed area as an exact (numerator, denominator) pair."""
-    from fractions import Fraction
-
-    total = Fraction(0)
-    n = len(verts)
-    for i in range(n):
-        x1, y1, w1 = verts[i]
-        x2, y2, w2 = verts[(i + 1) % n]
-        total += Fraction(x1 * y2 - x2 * y1, w1 * w2)
-    return total
-
-
-def hcontains(verts, p):
-    """True when homogeneous point p lies in the closed convex polygon."""
-    n = len(verts)
-    px, py, pw = p
-    for i in range(n):
-        x1, y1, w1 = verts[i]
-        x2, y2, w2 = verts[(i + 1) % n]
-        # left-of-edge test: (v2-v1) x (p-v1) >= 0, all scales positive
-        ux = x2 * w1 - x1 * w2
-        uy = y2 * w1 - y1 * w2
-        vx = px * w1 - x1 * pw
-        vy = py * w1 - y1 * pw
-        if ux * vy - uy * vx < 0:
-            return False
-    return True
-
-
 def hintersect(pa, pb):
     """Intersection polygon of two convex CCW polygons (possibly [])."""
     cur = pa

@@ -14,15 +14,16 @@ are single-pass folds over the Farey stream with O(1) state beyond the grid.
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .continuants import index_sequence_real
-from .errors import DomainError, OrphanWarning
+from .errors import DomainError
 from .farey import ProgressionClass, TupleType, farey_filtered
-from .geometry import HalfPlane, Incidence, RatPoint, area, clip, locate
+from .geometry import (HalfPlane, Incidence, RatPoint, area, clip, edge_forms,
+                       locate)
 from .mosaics import assemble_with_orphans
 from .progression import admissible_residues, euler_phi
 from .tiles import Tile, enumerate_tiles, strip_polygon
@@ -80,16 +81,10 @@ class PointClass:
     OUTSIDE = "outside"
 
 
-_TILE_CACHE = {}
-
-
-def _tiles_for(cls: ProgressionClass, max_order: int, kernel_cap: int,
-               budget: int = 10 ** 7):
-    key = (cls.c, cls.d, max_order, kernel_cap)
-    if key not in _TILE_CACHE:
-        _TILE_CACHE[key] = tuple(enumerate_tiles(
-            cls, max_order, kernel_cap=kernel_cap, budget=budget))
-    return _TILE_CACHE[key]
+@functools.lru_cache(maxsize=8)
+def _tiles_for(cls: ProgressionClass, max_order: int, kernel_cap: int):
+    return tuple(enumerate_tiles(cls, max_order, kernel_cap=kernel_cap,
+                                 budget=10 ** 7))
 
 
 def _vertex_angle_fraction(directions) -> float:
@@ -275,29 +270,22 @@ def compare(hist: EmpiricalHistogram, cls: ProgressionClass, max_order: int,
             paper_constant: bool = False, tiles=None) -> CompareReport:
     """Empirical histogram against exactly integrated theoretical masses.
 
-    Theoretical bin masses come from clipping every tile against every bin
-    rectangle and weighting by the tile's layer; they are normalized by the
-    captured mass.  The L1 distance runs over bins fully inside the support
-    (covered completely by at least one mosaic layer), so the reported gap
-    reflects truncation and finite-Q effects only.
+    Each kernel's tiles are assembled into mosaics once; then every tile is
+    clipped against every bin rectangle it overlaps, once per (tile, bin)
+    piece.  The piece's area, weighted by the tile's layer, adds to the
+    bin's theoretical mass, and unweighted it adds to its mosaic's coverage
+    of the bin.  Masses are normalized by the captured mass.  The L1
+    distance runs over bins fully inside the support (covered completely by
+    at least one mosaic layer), so the reported gap reflects truncation and
+    finite-Q effects only.
     """
     if tiles is None:
         tiles = _tiles_for(cls, max_order, kernel_cap)
     B = hist.B
     pref = layer_prefactor(cls, paper_constant)
     theo = [[Fraction(0)] * B for _ in range(B)]
+    full = [[False] * B for _ in range(B)]
     bin_area = Fraction(1, B * B)
-
-    # group tiles into mosaics per kernel for the support coverage test
-    kernels = sorted(set(t.kernel for t in tiles))
-    coverage = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OrphanWarning)
-        mosaic_groups = []
-        for kern in kernels:
-            group = [t for t in tiles if t.kernel == kern]
-            ms, orphans = assemble_with_orphans(group, kern)
-            mosaic_groups.extend(ms)
 
     def bins_overlapping(poly):
         x0, y0, x1, y1 = poly.bbox()
@@ -307,30 +295,32 @@ def compare(hist: EmpiricalHistogram, cls: ProgressionClass, max_order: int,
         j1 = min(B - 1, int(y1 * B) if y1 * B != int(y1 * B) else int(y1 * B) - 1)
         return i0, i1, j0, j1
 
-    for t in tiles:
-        w = pref * t.multiplicity / t.kernel
-        i0, i1, j0, j1 = bins_overlapping(t.poly)
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                x0, y0, x1, y1 = _bin_rect(i, j, B)
-                piece = _clip_to_rect(t.poly, x0, y0, x1, y1)
-                if not piece.is_empty:
-                    theo[i][j] += w * area(piece)
-
-    full = [[False] * B for _ in range(B)]
-    for m in mosaic_groups:
+    def integrate(group):
+        """Add the group's pieces to theo; return its coverage per bin."""
         cov = {}
-        for t in m.tiles:
+        for t in group:
+            w = pref * t.multiplicity / t.kernel
             i0, i1, j0, j1 = bins_overlapping(t.poly)
             for i in range(i0, i1 + 1):
                 for j in range(j0, j1 + 1):
                     x0, y0, x1, y1 = _bin_rect(i, j, B)
                     piece = _clip_to_rect(t.poly, x0, y0, x1, y1)
                     if not piece.is_empty:
-                        cov[(i, j)] = cov.get((i, j), Fraction(0)) + area(piece)
-        for (i, j), a in cov.items():
-            if a == bin_area:
-                full[i][j] = True
+                        a = area(piece)
+                        theo[i][j] += w * a
+                        cov[(i, j)] = cov.get((i, j), Fraction(0)) + a
+        return cov
+
+    by_kernel = {}
+    for t in tiles:
+        by_kernel.setdefault(t.kernel, []).append(t)
+    for kern in sorted(by_kernel):
+        mosaics, orphans = assemble_with_orphans(by_kernel[kern], kern)
+        for m in mosaics:
+            for (i, j), a in integrate(m.tiles).items():
+                if a == bin_area:
+                    full[i][j] = True
+        integrate(orphans)      # mass only: an orphan is in no mosaic
 
     mass = sum(sum(row) for row in theo)
     l1 = 0.0
@@ -349,23 +339,6 @@ def compare(hist: EmpiricalHistogram, cls: ProgressionClass, max_order: int,
     return CompareReport(l1, max_dev, float(mass), nfull, B * B)
 
 
-def _tile_int_forms(t: Tile):
-    """Integer edge forms: (q0, q1) is in the tile at scale Q iff
-    a*q0 + b*q1 <= c*Q for every (a, b, c)."""
-    verts = t.poly.vertices
-    hps = []
-    for i in range(len(verts)):
-        u, v = verts[i], verts[(i + 1) % len(verts)]
-        a = v.y - u.y
-        b = u.x - v.x
-        cc = a * u.x + b * u.y
-        m = math.lcm(a.denominator, b.denominator, cc.denominator)
-        hps.append((a.numerator * (m // a.denominator),
-                    b.numerator * (m // b.denominator),
-                    cc.numerator * (m // cc.denominator)))
-    return hps
-
-
 def support_membership(Q: int, cls: ProgressionClass, max_order: int, *,
                        kernel_cap: int = DENSITY_KERNEL_CAP,
                        tiles=None, support_polygons=None,
@@ -379,21 +352,18 @@ def support_membership(Q: int, cls: ProgressionClass, max_order: int, *,
     corners), pass support_polygons: the known limit outlines (convex
     polygons) to test against instead.
     """
-    if support_polygons is not None:
-        class _Shim:
-            def __init__(self, poly):
-                self.poly = poly
-        forms = [(_tile_int_forms(_Shim(p)), _Shim(p))
-                 for p in support_polygons]
-    else:
+    if support_polygons is None:
         if tiles is None:
             tiles = _tiles_for(cls, max_order, kernel_cap)
-        forms = [(_tile_int_forms(t), t) for t in
-                 sorted(tiles, key=lambda t: -area(t.poly))]
+        support_polygons = [t.poly for t in
+                            sorted(tiles, key=lambda t: -area(t.poly))]
+    # (q0, q1) is in a polygon at scale Q iff a*q0 + b*q1 <= c*Q for every
+    # edge form (a, b, c)
+    forms = [(edge_forms(p), p) for p in support_polygons]
     # grid index over [0,1]^2 so each point probes few tiles
     cells = [[[] for _ in range(grid)] for _ in range(grid)]
-    for rec, (hps, t) in enumerate(forms):
-        x0, y0, x1, y1 = t.poly.bbox()
+    for rec, (hps, poly) in enumerate(forms):
+        x0, y0, x1, y1 = poly.bbox()
         i0 = max(0, min(grid - 1, int(x0 * grid)))
         i1 = max(0, min(grid - 1, int(x1 * grid)))
         j0 = max(0, min(grid - 1, int(y0 * grid)))
@@ -424,8 +394,8 @@ def support_membership(Q: int, cls: ProgressionClass, max_order: int, *,
 def _distance_to_tiles(q0, q1, Q, forms) -> float:
     px, py = q0 / Q, q1 / Q
     best = float("inf")
-    for _hps, t in forms:
-        for v in t.poly.vertices:
+    for _hps, poly in forms:
+        for v in poly.vertices:
             dx = px - float(v.x)
             dy = py - float(v.y)
             dd = math.hypot(dx, dy)

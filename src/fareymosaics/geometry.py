@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import _intgeom
@@ -51,6 +51,18 @@ def point_from_json(obj) -> RatPoint:
     return RatPoint(parse_rational(obj[0]), parse_rational(obj[1]))
 
 
+def int_form(a, b, c):
+    """Rationals a, b, c scaled by one positive factor to coprime integers."""
+    m = lcm(a.denominator, b.denominator, c.denominator)
+    ai = a.numerator * (m // a.denominator)
+    bi = b.numerator * (m // b.denominator)
+    ci = c.numerator * (m // c.denominator)
+    g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
+    if g > 1:
+        return ai // g, bi // g, ci // g
+    return ai, bi, ci
+
+
 @dataclass(frozen=True)
 class HalfPlane:
     """The set {(x, y) : a*x + b*y <= c}; open (< c) when closed is False.
@@ -76,12 +88,7 @@ class HalfPlane:
 
     def int_coeffs(self):
         """(a, b, c) scaled to integers."""
-        m = lcm(self.a.denominator, self.b.denominator, self.c.denominator)
-        return (
-            self.a.numerator * (m // self.a.denominator),
-            self.b.numerator * (m // self.b.denominator),
-            self.c.numerator * (m // self.c.denominator),
-        )
+        return int_form(self.a, self.b, self.c)
 
     def contains(self, p: RatPoint) -> bool:
         v = self.a * p.x + self.b * p.y
@@ -126,22 +133,18 @@ class ConvexPolygon:
                 raise GeometryError("vertices must be counter-clockwise")
             if turn == 0:
                 raise GeometryError("three consecutive collinear vertices")
-        k = min(range(n), key=lambda i: pts[i])
-        self._verts = tuple(pts[k:] + pts[:k])
+        self._verts = _rotated(pts)
 
     @classmethod
-    def _from_canonical(cls, verts: tuple) -> "ConvexPolygon":
+    def _from_ccw(cls, pts) -> "ConvexPolygon":
+        """Polygon from points already known to be strictly convex CCW."""
         poly = cls.__new__(cls)
-        poly._verts = verts
+        poly._verts = _rotated(pts)
         return poly
 
     @classmethod
     def from_h(cls, hverts) -> "ConvexPolygon":
-        pts = [_from_h(v) for v in hverts]
-        if not pts:
-            return cls._from_canonical(())
-        k = min(range(len(pts)), key=lambda i: pts[i])
-        return cls._from_canonical(tuple(pts[k:] + pts[:k]))
+        return cls._from_ccw([_from_h(v) for v in hverts])
 
     def to_h(self):
         return [_to_h(p) for p in self._verts]
@@ -180,26 +183,39 @@ class ConvexPolygon:
 
     def reflected(self) -> "ConvexPolygon":
         """Image under the diagonal reflection (x, y) -> (y, x)."""
-        if self.is_empty:
-            return self
-        pts = [RatPoint(p.y, p.x) for p in reversed(self._verts)]
-        k = min(range(len(pts)), key=lambda i: pts[i])
-        return ConvexPolygon._from_canonical(tuple(pts[k:] + pts[:k]))
+        return ConvexPolygon._from_ccw(
+            [RatPoint(p.y, p.x) for p in reversed(self._verts)])
+
+
+def _rotated(pts) -> tuple:
+    """pts as a tuple starting at its lexicographically smallest point."""
+    pts = tuple(pts)
+    if not pts:
+        return pts
+    k = min(range(len(pts)), key=pts.__getitem__)
+    return pts[k:] + pts[:k]
 
 
 EMPTY_POLYGON = ConvexPolygon(())
 
 
+def edge_forms(poly: ConvexPolygon) -> list:
+    """Integer (a, b, c) per edge, counter-clockwise from the first vertex:
+    the polygon is the set where a*x + b*y <= c holds for every edge."""
+    verts = poly.vertices
+    n = len(verts)
+    out = []
+    for i in range(n):
+        u, v = verts[i], verts[(i + 1) % n]
+        a = v.y - u.y
+        b = u.x - v.x
+        out.append(int_form(a, b, a * u.x + b * u.y))
+    return out
+
+
 def area(poly: ConvexPolygon) -> Fraction:
     """Exact shoelace area; the empty polygon has area 0."""
-    verts = poly.vertices
-    if not verts:
-        return Fraction(0)
-    total = Fraction(0)
-    n = len(verts)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
+    total = _loop_area2(poly.vertices)
     if total < 0:
         raise GeometryError("negative area on a CCW polygon")
     return total / 2
@@ -224,11 +240,8 @@ def affine_image(poly: ConvexPolygon, P: int, Pp: int) -> ConvexPolygon:
     """
     if P < 1:
         raise GeometryError(f"affine_image requires P >= 1, got {P}")
-    if poly.is_empty:
-        return poly
-    pts = tuple(RatPoint(p.x, P * p.y - Pp * p.x) for p in poly.vertices)
-    k = min(range(len(pts)), key=lambda i: pts[i])
-    return ConvexPolygon._from_canonical(pts[k:] + pts[:k])
+    return ConvexPolygon._from_ccw(
+        [RatPoint(p.x, P * p.y - Pp * p.x) for p in poly.vertices])
 
 
 class Incidence(enum.Enum):
@@ -318,6 +331,7 @@ class Outline:
 
 
 def _loop_area2(loop) -> Fraction:
+    """Twice the signed shoelace area of a closed loop of points."""
     total = Fraction(0)
     n = len(loop)
     for i in range(n):
@@ -497,8 +511,7 @@ def union_outline(tiles: Sequence[ConvexPolygon]) -> Outline:
             if (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x) != 0:
                 merged.append(b)
         if len(merged) >= 3:
-            k = min(range(len(merged)), key=lambda i: merged[i])
-            loops.append(tuple(merged[k:] + merged[:k]))
+            loops.append(_rotated(merged))
 
     loops.sort(key=lambda lp: (-_loop_area2(lp), lp))
     return Outline(tuple(loops))

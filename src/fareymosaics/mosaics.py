@@ -17,14 +17,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional
 
 from ._intgeom import interiors_intersect
 from .errors import (AmbiguityError, DomainError, OrphanWarning,
                      PartnerMissing, ShapeError)
 from .farey import ProgressionClass
-from .geometry import Outline, RatPoint, rational_str, union_outline
+from .geometry import (Outline, RatPoint, edge_forms, rational_str,
+                       union_outline)
 from .tiles import Tile, enumerate_tiles
 
 _NE_CORNER = RatPoint(Fraction(1), Fraction(1))
@@ -79,21 +79,13 @@ class AdjacencyTree:
         return len(seen) == len(self.nodes)
 
 
-def _edge_key(u: RatPoint, v: RatPoint):
-    """Canonical integer key of the line through u and v."""
-    a = v.y - u.y
-    b = u.x - v.x
-    c = a * u.x + b * u.y
-    m = lcm(a.denominator, b.denominator, c.denominator)
-    ai = a.numerator * (m // a.denominator)
-    bi = b.numerator * (m // b.denominator)
-    ci = c.numerator * (m // c.denominator)
-    g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
-    if g:
-        ai, bi, ci = ai // g, bi // g, ci // g
-    if ai < 0 or (ai == 0 and bi < 0):
-        ai, bi, ci = -ai, -bi, -ci
-    return (ai, bi, ci)
+def _edge_key(form):
+    """Canonical key of the line of an edge form: the sign of the coprime
+    (a, b, c) fixed so that the first nonzero normal entry is positive."""
+    a, b, c = form
+    if a < 0 or (a == 0 and b < 0):
+        return -a, -b, -c
+    return a, b, c
 
 
 def shared_edge_pairs(polys) -> set:
@@ -103,12 +95,11 @@ def shared_edge_pairs(polys) -> set:
     for idx, poly in enumerate(polys):
         verts = poly.vertices
         n = len(verts)
-        for t in range(n):
+        for t, form in enumerate(edge_forms(poly)):
             u, v = verts[t], verts[(t + 1) % n]
-            key = _edge_key(u, v)
             # orient the interval along the line by lexicographic order
             lo, hi = (u, v) if u < v else (v, u)
-            by_line.setdefault(key, []).append((lo, hi, idx))
+            by_line.setdefault(_edge_key(form), []).append((lo, hi, idx))
     out = set()
     for key, entries in by_line.items():
         entries.sort()
@@ -148,14 +139,10 @@ def _attach_candidates(idx, adjacency, tile_hs, boxes, mosaics_members,
     return cands
 
 
-def assemble(tiles, kernel: int, strategy: str = "seeded") -> list:
-    """Group same-kernel tiles into mosaics.
-
-    strategy "seeded" is the default growth described above; "components"
-    groups purely by edge-adjacency components (cross-validation only, no
-    disjointness constraint).  Orphans trigger an OrphanWarning.
-    """
-    mosaics, orphans = assemble_with_orphans(tiles, kernel, strategy)
+def assemble(tiles, kernel: int) -> list:
+    """Group same-kernel tiles into mosaics by the seeded growth described
+    above.  Orphans trigger an OrphanWarning."""
+    mosaics, orphans = assemble_with_orphans(tiles, kernel)
     if orphans:
         warnings.warn(
             f"{len(orphans)} kernel-{kernel} tiles attach to no mosaic "
@@ -163,7 +150,7 @@ def assemble(tiles, kernel: int, strategy: str = "seeded") -> list:
     return mosaics
 
 
-def assemble_with_orphans(tiles, kernel: int, strategy: str = "seeded"):
+def assemble_with_orphans(tiles, kernel: int):
     tiles = sorted((t for t in tiles), key=lambda t: t.k)
     for t in tiles:
         if t.kernel != kernel:
@@ -180,35 +167,29 @@ def assemble_with_orphans(tiles, kernel: int, strategy: str = "seeded"):
                 if _NE_CORNER in t.poly.vertices]
     members = [[i] for i in seed_idx]
 
-    if strategy == "components":
-        members = _component_groups(len(tiles), adjacency, seed_idx)
-        unattached = []
-    elif strategy == "seeded":
-        unattached = [i for i in range(len(tiles)) if i not in set(seed_idx)]
-        progress = True
-        while progress and unattached:
-            progress = False
-            # evaluate candidates against the current state first, so a tile
-            # reachable from two mosaics in the same round is visible as such
-            cands = {i: _attach_candidates(i, adjacency, tile_hs, boxes,
-                                           members, orders) for i in unattached}
-            ambiguous = [i for i, cs in cands.items() if len(cs) > 1]
-            if ambiguous:
-                i = ambiguous[0]
-                raise AmbiguityError(
-                    f"tile {tiles[i].k} attachable to mosaics rooted at "
-                    f"{[tiles[members[m][0]].k for m in cands[i]]}",
-                    tile_k=tiles[i].k,
-                    candidates=[tiles[members[m][0]].k for m in cands[i]])
-            for i in list(unattached):
-                cs = _attach_candidates(i, adjacency, tile_hs, boxes, members,
-                                        orders)
-                if len(cs) == 1:
-                    members[cs[0]].append(i)
-                    unattached.remove(i)
-                    progress = True
-    else:
-        raise DomainError(f"unknown assembly strategy {strategy!r}")
+    unattached = [i for i in range(len(tiles)) if i not in set(seed_idx)]
+    progress = True
+    while progress and unattached:
+        progress = False
+        # evaluate candidates against the current state first, so a tile
+        # reachable from two mosaics in the same round is visible as such
+        cands = {i: _attach_candidates(i, adjacency, tile_hs, boxes,
+                                       members, orders) for i in unattached}
+        ambiguous = [i for i, cs in cands.items() if len(cs) > 1]
+        if ambiguous:
+            i = ambiguous[0]
+            raise AmbiguityError(
+                f"tile {tiles[i].k} attachable to mosaics rooted at "
+                f"{[tiles[members[m][0]].k for m in cands[i]]}",
+                tile_k=tiles[i].k,
+                candidates=[tiles[members[m][0]].k for m in cands[i]])
+        for i in list(unattached):
+            cs = _attach_candidates(i, adjacency, tile_hs, boxes, members,
+                                    orders)
+            if len(cs) == 1:
+                members[cs[0]].append(i)
+                unattached.remove(i)
+                progress = True
 
     out = []
     for group in members:
@@ -234,27 +215,7 @@ def assemble_with_orphans(tiles, kernel: int, strategy: str = "seeded"):
         out.append(Mosaic(kernel, group_tiles, outline, root, name,
                           min(grp_orders), max(grp_orders), symmetric))
     out.sort(key=lambda m: (m.root.order, m.tile_count, m.root.k))
-    orphan_tiles = [tiles[i] for i in unattached] if strategy == "seeded" else []
-    return out, orphan_tiles
-
-
-def _component_groups(n, adjacency, seed_idx):
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in adjacency:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [g for g in groups.values() if any(i in seed_idx for i in g)]
+    return out, [tiles[i] for i in unattached]
 
 
 _SHAPE_BY_COUNT = {3: "T", 4: "Q", 5: "P", 8: "O"}

@@ -2,10 +2,12 @@
 
 A region is the closure of the set of generator points whose index sequence
 starts with k; it is cut from the Farey triangle by two half-planes per
-index (the value constraint x_j <= 1, closed, and the pair-sum constraint
-x_{j-1} + x_j > 1, open side carried as metadata).  A tile is the image of
-a region under the choice map (x, y) -> (x, x_n), whose determinant is the
-kernel p_n(k), so area(tile) = kernel * area(region) exactly.
+index, the value constraint x_j <= 1 and the pair-sum constraint
+x_{j-1} + x_j >= 1 (both closed: boundaries carry no area).  One integer
+cut step (_cut) carves a child region from its parent; region() and the
+enumeration share it.  A tile is the image of a region under the choice
+map (x, y) -> (x, x_n), whose determinant is the kernel p_n(k), so
+area(tile) = kernel * area(region) exactly.
 
 Enumeration walks the refinement tree of regions depth-first with three
 prunes: subtrees with no live starting residue, zero-area regions, and
@@ -41,7 +43,7 @@ DEFAULT_KERNEL_CAP = 64
 
 @dataclass(frozen=True)
 class Region:
-    """Closure of T_k, with the floor constraints that carved it."""
+    """Closure of T_k."""
 
     k: IndexTuple
     poly: ConvexPolygon
@@ -60,7 +62,6 @@ class Tile:
     poly: ConvexPolygon
     kernel: int
     residues: AdmissibleResidues
-    region_poly: ConvexPolygon
 
     @property
     def order(self) -> int:
@@ -90,38 +91,35 @@ class StripPolygon:
     poly: ConvexPolygon
 
 
-def _constraints(k: IndexTuple):
-    """The 2n half-planes (value <= 1 closed, pair-sum >= 1 open) for k.
+# Closure of the Farey triangle as homogeneous integer vertices (X, Y, W).
+_T_H = [(0, 1, 1), (1, 0, 1), (1, 1, 1)]
 
-    Linear forms are tracked as integer coefficient pairs (a, b) meaning
-    a*x + b*y; the recurrence L_j = k_j * L_{j-1} - L_{j-2} propagates them.
+
+def _cut(hpoly, lp, lc, kj):
+    """One refinement step: the part of region hpoly whose next index is kj.
+
+    lp and lc are the integer forms (a, b), meaning a*x + b*y, of the last
+    two chain values x_{n-1}, x_n; the recurrence x_{n+1} = kj*x_n - x_{n-1}
+    gives the new form ln.  Returns (child, ln); child is [] when the cut
+    x_{n+1} <= 1, x_n + x_{n+1} >= 1 leaves no area.
     """
-    out = []
-    lp = (1, 0)   # x_{-1} = x
-    lc = (0, 1)   # x_0 = y
-    for kj in k:
-        ln = (kj * lc[0] - lp[0], kj * lc[1] - lp[1])
-        out.append((HalfPlane(ln[0], ln[1], 1, closed=True), ln))
-        s = (ln[0] + lc[0], ln[1] + lc[1])
-        out.append((HalfPlane(-s[0], -s[1], -1, closed=False), s))
-        lp, lc = lc, ln
-    return out
+    ln = (kj * lc[0] - lp[0], kj * lc[1] - lp[1])
+    child = hclip(hpoly, ln[0], ln[1], 1)
+    if child:
+        child = hclip(child, -(ln[0] + lc[0]), -(ln[1] + lc[1]), -1)
+    return child, ln
 
 
 def region(k: IndexTuple) -> Region:
     """Closure of {(x, y) in T : index sequence = k}; empty if infeasible."""
     k = validate_index_tuple(k)
-    poly = FAREY_TRIANGLE
-    for hp, _ in _constraints(k):
-        poly = clip(poly, hp)
-        if poly.is_empty:
+    poly, lp, lc = _T_H, (1, 0), (0, 1)    # x_{-1} = x, x_0 = y
+    for kj in k:
+        poly, ln = _cut(poly, lp, lc, kj)
+        if not poly:
             break
-    return Region(k, poly)
-
-
-def region_constraints(k: IndexTuple) -> list:
-    """The open/closed half-plane metadata that defines region(k)."""
-    return [hp for hp, _ in _constraints(validate_index_tuple(k))]
+        lp, lc = lc, ln
+    return Region(k, ConvexPolygon.from_h(poly))
 
 
 def tile(k: IndexTuple, pattern: TupleType, cls: ProgressionClass) -> Optional[Tile]:
@@ -142,7 +140,7 @@ def tile(k: IndexTuple, pattern: TupleType, cls: ProgressionClass) -> Optional[T
     n = len(k)
     P = continuant(k, n)
     Pp = continuant_shifted(k, 2, n - 1)
-    return Tile(k, pattern, affine_image(reg.poly, P, Pp), P, res, reg.poly)
+    return Tile(k, pattern, affine_image(reg.poly, P, Pp), P, res)
 
 
 def strip_polygon(k: IndexTuple, pattern: TupleType, anchor) -> StripPolygon:
@@ -166,18 +164,18 @@ def strip_polygon(k: IndexTuple, pattern: TupleType, anchor) -> StripPolygon:
         b = continuant(k, pos)
         forms.append((a, b))
     # The first two strips bound a parallelogram; start from it and clip
-    # with the remaining strips.
+    # with the remaining strips.  Its corners, taken counter-clockwise in
+    # (s0, s1), keep that orientation when the map's determinant
+    # p_{r_1 - 1} is positive, and reverse it when it is negative.
     (a0, b0), (a1, b1) = forms[0], forms[1]
+    det = Fraction(a0 * b1 - a1 * b0)
     corners = []
-    for s0 in (-1, 1):
-        for s1 in (-1, 1):
-            # solve a0 x + b0 y = anchor0 + s0, a1 x + b1 y = anchor1 + s1
-            det = Fraction(a0 * b1 - a1 * b0)
-            c0, c1 = anchor[0] + s0, anchor[1] + s1
-            x = (c0 * b1 - c1 * b0) / det
-            y = (a0 * c1 - a1 * c0) / det
-            corners.append(RatPoint(x, y))
-    corners = _hull_of_four(corners)
+    for s0, s1 in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
+        # solve a0 x + b0 y = anchor0 + s0, a1 x + b1 y = anchor1 + s1
+        c0, c1 = anchor[0] + s0, anchor[1] + s1
+        corners.append(((c0 * b1 - c1 * b0) / det, (a0 * c1 - a1 * c0) / det))
+    if det < 0:
+        corners.reverse()
     poly = ConvexPolygon(corners)
     for (a, b), ci in zip(forms[2:], anchor[2:]):
         poly = clip(poly, HalfPlane(a, b, ci + 1))
@@ -185,27 +183,6 @@ def strip_polygon(k: IndexTuple, pattern: TupleType, anchor) -> StripPolygon:
         if poly.is_empty:
             break
     return StripPolygon(k, pattern, anchor, poly)
-
-
-def _hull_of_four(pts):
-    """CCW order of the four parallelogram corners around their centroid."""
-    import functools
-
-    cx = sum(p.x for p in pts) / 4
-    cy = sum(p.y for p in pts) / 4
-
-    def half(p):
-        dy = p.y - cy
-        return 0 if (dy > 0 or (dy == 0 and p.x - cx > 0)) else 1
-
-    def angle_cmp(p, q):
-        hp_, hq_ = half(p), half(q)
-        if hp_ != hq_:
-            return -1 if hp_ < hq_ else 1
-        cross = (p.x - cx) * (q.y - cy) - (p.y - cy) * (q.x - cx)
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    return sorted(pts, key=functools.cmp_to_key(angle_cmp))
 
 
 def core_point(k: IndexTuple, pattern: TupleType, target) -> RatPoint:
@@ -227,9 +204,6 @@ def core_point(k: IndexTuple, pattern: TupleType, target) -> RatPoint:
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
-
-_T_H = [(0, 1, 1), (1, 0, 1), (1, 1, 1)]   # homogeneous Farey triangle
-
 
 def enumerate_tiles(cls: ProgressionClass, max_order: int,
                     kernel_filter: Optional[int] = None, *,
@@ -311,11 +285,8 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
             descend = bool(live2) and n + 1 < max_order
             if not m_here and not descend:
                 continue
-            ln = (kj * lc[0] - lp[0], kj * lc[1] - lp[1])
-            child = hclip(poly, ln[0], ln[1], 1)
-            if len(child) >= 3:
-                child = hclip(child, -(ln[0] + lc[0]), -(ln[1] + lc[1]), -1)
-            if len(child) < 3:
+            child, ln = _cut(poly, lp, lc, kj)
+            if not child:
                 continue
             nodes += 1
             if nodes > budget:
@@ -336,9 +307,8 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
     raw.sort(key=lambda rec: rec[0])
     out = []
     for k, m, hpoly, ln in raw:
-        reg_poly = ConvexPolygon.from_h(hpoly)
         kern = ln[1]
-        img = affine_image(reg_poly, kern, -ln[0])
+        img = affine_image(ConvexPolygon.from_h(hpoly), kern, -ln[0])
         res = AdmissibleResidues(k, (len(k) + 1,), cls, frozenset(m))
-        out.append(Tile(k, (len(k) + 1,), img, kern, res, reg_poly))
+        out.append(Tile(k, (len(k) + 1,), img, kern, res))
     return out

@@ -2,12 +2,16 @@
 values.  These deliberately avoid the library's own algorithms: half-plane
 intersections are built from pairwise line crossings, continuants from 2x2
 matrix products, Farey sequences from sorting, and first-return tuples from
-raw next-term chains."""
+raw next-term chains.  Superseded implementations kept as references for
+differential tests live here too."""
 
 import math
 from fractions import Fraction
 
-from fareymosaics.geometry import ConvexPolygon
+from fareymosaics.density import (CompareReport, _bin_rect, _clip_to_rect,
+                                  layer_prefactor)
+from fareymosaics.geometry import ConvexPolygon, area
+from fareymosaics.mosaics import assemble_with_orphans
 
 
 def halfplane_intersection(constraints):
@@ -152,3 +156,88 @@ def dist_to_convex(poly, p) -> float:
         t = max(0.0, min(1.0, t))
         best = min(best, math.hypot(px - ax - t * dx, py - ay - t * dy))
     return best
+
+
+def component_groups(n, adjacency, seed_idx):
+    """Edge-adjacency components (union-find over index pairs) that contain
+    a seed index; no disjointness constraint."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in adjacency:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [g for g in groups.values() if any(i in seed_idx for i in g)]
+
+
+def compare_two_pass(hist, cls, tiles, paper_constant=False):
+    """density.compare as first written: every (tile, bin) piece is clipped
+    once for the bin masses and again, mosaic by mosaic, for coverage."""
+    B = hist.B
+    pref = layer_prefactor(cls, paper_constant)
+    theo = [[Fraction(0)] * B for _ in range(B)]
+    bin_area = Fraction(1, B * B)
+
+    mosaic_groups = []
+    for kern in sorted(set(t.kernel for t in tiles)):
+        group = [t for t in tiles if t.kernel == kern]
+        ms, _orphans = assemble_with_orphans(group, kern)
+        mosaic_groups.extend(ms)
+
+    def bins_overlapping(poly):
+        x0, y0, x1, y1 = poly.bbox()
+        i0 = max(0, int(x0 * B))
+        i1 = min(B - 1, int(x1 * B) if x1 * B != int(x1 * B)
+                 else int(x1 * B) - 1)
+        j0 = max(0, int(y0 * B))
+        j1 = min(B - 1, int(y1 * B) if y1 * B != int(y1 * B)
+                 else int(y1 * B) - 1)
+        return i0, i1, j0, j1
+
+    def pieces(t):
+        i0, i1, j0, j1 = bins_overlapping(t.poly)
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                piece = _clip_to_rect(t.poly, *_bin_rect(i, j, B))
+                if not piece.is_empty:
+                    yield i, j, area(piece)
+
+    for t in tiles:
+        w = pref * t.multiplicity / t.kernel
+        for i, j, a in pieces(t):
+            theo[i][j] += w * a
+
+    full = [[False] * B for _ in range(B)]
+    for m in mosaic_groups:
+        cov = {}
+        for t in m.tiles:
+            for i, j, a in pieces(t):
+                cov[(i, j)] = cov.get((i, j), Fraction(0)) + a
+        for (i, j), a in cov.items():
+            if a == bin_area:
+                full[i][j] = True
+
+    mass = sum(sum(row) for row in theo)
+    l1 = 0.0
+    max_dev = 0.0
+    nfull = 0
+    for i in range(B):
+        for j in range(B):
+            if not full[i][j]:
+                continue
+            nfull += 1
+            emp = hist.bins[i][j] / hist.total
+            th = float(theo[i][j] / mass) if mass else 0.0
+            l1 += abs(emp - th)
+            if th > 0:
+                max_dev = max(max_dev, abs(emp / th - 1.0))
+    return CompareReport(l1, max_dev, float(mass), nfull, B * B)

@@ -42,7 +42,7 @@ from fareymosaics.mosaics import (adjacency_tree, assemble_with_orphans,
 from fareymosaics.progression import (exact_cardinality,
                                       lattice_count_exact, lattice_main_term,
                                       predicted_cardinality)
-from fareymosaics.tiles import enumerate_tiles, strip_polygon
+from fareymosaics.tiles import enumerate_tiles, region, strip_polygon
 
 _D5_RESULTS = {}      # c -> {kernel: [Mosaic]} built by criterion 2
 
@@ -268,7 +268,7 @@ def test_criterion_7_structural_invariants(d5_tiles, d12_tiles_30):
                     assert det == -1
         # area law for every enumerated tile of the table criteria
         for t in itertools.chain(d5_tiles, d12_tiles_30):
-            assert area(t.poly) == t.kernel * area(t.region_poly)
+            assert area(t.poly) == t.kernel * area(region(t.k).poly)
         # strip area law 4/p for the same tuple family
         for order in range(0, 7):
             for k in itertools.islice(

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from oracles import compare_two_pass
 
 from fareymosaics.density import (DensityQuery, EmpiricalHistogram,
                                   PointClass, compare, empirical_histogram,
@@ -199,6 +200,17 @@ class TestCompare:
             hist = empirical_histogram(q, CLS15, 16)
             l1[q] = compare(hist, CLS15, 10, kernel_cap=60).l1_interior
         assert l1[1200] < l1[300] + 0.02
+
+    def test_one_pass_matches_two_pass_oracle(self):
+        hist = empirical_histogram(300, CLS15, 10)
+        tiles = enumerate_tiles(CLS15, 8, kernel_cap=40)
+        rep = compare(hist, CLS15, 8, kernel_cap=40)
+        assert rep == compare_two_pass(hist, CLS15, tiles)
+        # without this kernel-6 tile one later tile of its mosaic is an
+        # orphan, whose mass counts but whose coverage does not
+        holed = [t for t in tiles if t.k != (1, 2, 3, 2, 2, 1, 10)]
+        assert compare(hist, CLS15, 8, tiles=holed) == \
+            compare_two_pass(hist, CLS15, holed)
 
 
 class TestSupportMembership:

@@ -2,15 +2,15 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
-from oracles import first_return_tuples
+from oracles import component_groups, first_return_tuples
 
 from fareymosaics import catalog
 from fareymosaics.errors import DomainError, OrphanWarning, PartnerMissing
 from fareymosaics.farey import ProgressionClass
 from fareymosaics.geometry import RatPoint, area, rational_str
 from fareymosaics.mosaics import (adjacency_tree, assemble,
-                                  assemble_with_orphans, symmetry_partner,
-                                  table, vertices)
+                                  assemble_with_orphans, shared_edge_pairs,
+                                  symmetry_partner, table, vertices)
 from fareymosaics.tiles import enumerate_tiles, tile
 
 CLS15 = ProgressionClass(1, 5)
@@ -62,14 +62,17 @@ class TestAssembleD5:
 
     def test_component_strategy_cross_validation(self, d5_tiles):
         # for kernels whose mosaics do not abut (no order-jump seams),
-        # pure connectivity components give the same grouping
+        # pure connectivity components give the same tile sets
         for kern in (1, 3, 4, 5, 6):
-            group = [t for t in d5_tiles if t.kernel == kern]
+            group = sorted((t for t in d5_tiles if t.kernel == kern),
+                           key=lambda t: t.k)
             seeded, _ = assemble_with_orphans(group, kern)
-            comps, _ = assemble_with_orphans(group, kern,
-                                             strategy="components")
-            assert sorted(m.name for m in seeded) == \
-                sorted(m.name for m in comps)
+            seeds = [i for i, t in enumerate(group)
+                     if RatPoint.of(1, 1) in t.poly.vertices]
+            comps = component_groups(
+                len(group), shared_edge_pairs([t.poly for t in group]), seeds)
+            assert sorted(sorted(t.k for t in m.tiles) for m in seeded) == \
+                sorted(sorted(group[i].k for i in c) for c in comps)
 
 
 class TestVertices:

@@ -37,6 +37,20 @@ class TestRegion:
     def test_infeasible_is_empty(self):
         assert region((1, 1)).poly.is_empty
 
+    def test_enumerated_regions_against_halfplane_oracle(self):
+        # closure of T, then per index x_j <= 1 and x_{j-1} + x_j >= 1 with
+        # forms from x_j = k_j x_{j-1} - x_{j-2}, x_{-1} = x, x_0 = y
+        for t in enumerate_tiles(CLS15, 6, kernel_cap=12):
+            cons = [(0, 1, 1), (1, 0, 1), (-1, -1, -1)]
+            lp, lc = (1, 0), (0, 1)
+            for kj in t.k:
+                ln = (kj * lc[0] - lp[0], kj * lc[1] - lp[1])
+                cons += [(ln[0], ln[1], 1),
+                         (-ln[0] - lc[0], -ln[1] - lc[1], -1)]
+                lp, lc = lc, ln
+            assert region(t.k).poly == \
+                ConvexPolygon(halfplane_intersection(cons)), t.k
+
     def test_refinement(self):
         rng = random.Random(3)
         tiles = enumerate_tiles(CLS15, 8, kernel_cap=12)
@@ -44,7 +58,7 @@ class TestRegion:
         rng.shuffle(some)
         for t in some[:40]:
             parent = region(t.k[:-1]).poly
-            child = t.region_poly
+            child = region(t.k).poly
             # containment: every child vertex inside the closed parent
             from fareymosaics.geometry import Incidence, locate
             for v in child.vertices:
@@ -55,7 +69,7 @@ class TestRegion:
         tiles = enumerate_tiles(CLS15, 10, kernel_cap=15)
         rng.shuffle(tiles)
         for t in tiles[:50]:
-            verts = t.region_poly.vertices
+            verts = region(t.k).poly.vertices
             for _ in range(6):
                 # random interior convex combination with positive weights
                 ws = [rng.randint(1, 9) for _ in verts]
@@ -88,7 +102,7 @@ class TestTile:
     def test_area_law(self):
         tiles = enumerate_tiles(CLS15, 9, kernel_cap=12)
         for t in tiles:
-            assert area(t.poly) == t.kernel * area(t.region_poly)
+            assert area(t.poly) == t.kernel * area(region(t.k).poly)
 
 
 class TestStripPolygon:
@@ -221,8 +235,9 @@ class TestEnumerate:
         tiles14 = enumerate_tiles(CLS15, 14, kernel_cap=120)
         for e in (0, 2, 3):
             mine = [t for t in tiles14 if e in t.residues.residues]
-            hs = [t.region_poly.to_h() for t in mine]
-            boxes = [t.region_poly.bbox() for t in mine]
+            regs = [region(t.k).poly for t in mine]
+            hs = [r.to_h() for r in regs]
+            boxes = [r.bbox() for r in regs]
             for i in range(len(mine)):
                 x0, y0, x1, y1 = boxes[i]
                 for j in range(i + 1, len(mine)):
@@ -231,8 +246,8 @@ class TestEnumerate:
                         continue
                     assert not interiors_intersect(hs[i], hs[j]), \
                         (mine[i].k, mine[j].k)
-            total = sum(area(t.region_poly) for t in mine)
+            total = sum(area(r) for r in regs)
             assert total <= F(1, 2)
             assert total > F(9, 20)
-            shallow = sum(area(t.region_poly) for t in mine if t.order <= 8)
+            shallow = sum(area(r) for t, r in zip(mine, regs) if t.order <= 8)
             assert shallow <= total
