@@ -22,8 +22,8 @@ from fractions import Fraction
 from .continuants import index_sequence_real
 from .errors import DomainError
 from .farey import ProgressionClass, TupleType, farey_filtered
-from .geometry import (HalfPlane, Incidence, RatPoint, area, clip, edge_forms,
-                       locate)
+from .geometry import (HalfPlane, Incidence, RatPoint, _to_h, area, clip,
+                       edge_forms, locate)
 from .mosaics import assemble_with_orphans
 from .progression import admissible_residues, euler_phi
 from .tiles import Tile, enumerate_tiles, strip_polygon
@@ -105,6 +105,11 @@ def g1_eval(query: DensityQuery, *, kernel_cap: int = DENSITY_KERNEL_CAP,
     incidence met (vertex > edge > interior).  Points outside every tile
     give (0.0, outside).  At (1, 1) the partial sums grow without bound in
     max_order.
+
+    The point is written once as an integer triple (X, Y, W); each tile's
+    memoized integer bounding box rejects most tiles by integer
+    cross-multiplication, and the rest are classified exactly by locate,
+    whose sign tests run on the tile's memoized integer edge forms.
     """
     if len(query.point) != 2:
         raise DomainError("g1_eval evaluates pair densities (s = 1)")
@@ -112,6 +117,7 @@ def g1_eval(query: DensityQuery, *, kernel_cap: int = DENSITY_KERNEL_CAP,
         tiles = _tiles_for(query.cls, query.max_order, kernel_cap)
     pref = layer_prefactor(query.cls, paper_constant)
     p = RatPoint(query.point[0], query.point[1])
+    X, Y, W = _to_h(p)
     total = Fraction(0)
     angle_part = 0.0
     seen_vertex = False
@@ -120,8 +126,9 @@ def g1_eval(query: DensityQuery, *, kernel_cap: int = DENSITY_KERNEL_CAP,
     for t in tiles:
         if t.order > query.max_order:
             continue
-        x0, y0, x1, y1 = t.poly.bbox()
-        if not (x0 <= p.x <= x1 and y0 <= p.y <= y1):
+        x0, dx0, y0, dy0, x1, dx1, y1, dy1 = t.poly.int_data()[:8]
+        if not (x0 * W <= X * dx0 and X * dx1 <= x1 * W and
+                y0 * W <= Y * dy0 and Y * dy1 <= y1 * W):
             continue
         loc = locate(t.poly, p)
         w = DensityLayerWeight(t.kernel, t.multiplicity, pref).contribution
@@ -360,14 +367,16 @@ def support_membership(Q: int, cls: ProgressionClass, max_order: int, *,
     # (q0, q1) is in a polygon at scale Q iff a*q0 + b*q1 <= c*Q for every
     # edge form (a, b, c)
     forms = [(edge_forms(p), p) for p in support_polygons]
+
+    def cell(num, den):
+        return max(0, min(grid - 1, num * grid // den))
+
     # grid index over [0,1]^2 so each point probes few tiles
     cells = [[[] for _ in range(grid)] for _ in range(grid)]
-    for rec, (hps, poly) in enumerate(forms):
-        x0, y0, x1, y1 = poly.bbox()
-        i0 = max(0, min(grid - 1, int(x0 * grid)))
-        i1 = max(0, min(grid - 1, int(x1 * grid)))
-        j0 = max(0, min(grid - 1, int(y0 * grid)))
-        j1 = max(0, min(grid - 1, int(y1 * grid)))
+    for rec, (_hps, poly) in enumerate(forms):
+        x0, dx0, y0, dy0, x1, dx1, y1, dy1 = poly.int_data()[:8]
+        i0, i1 = cell(x0, dx0), cell(x1, dx1)
+        j0, j1 = cell(y0, dy0), cell(y1, dy1)
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
                 cells[i][j].append(rec)

@@ -5,7 +5,9 @@ every predicate is exact; no floating point enters any geometric decision.
 Rationals serialize as "p/q" ("p" when q = 1), points as ["p/q", "r/s"].
 
 All types are immutable values; every operation is pure and safe to call
-concurrently.
+concurrently.  Each polygon lazily memoizes its integer edge forms and its
+bounding box on first use; that write-once cache only ever stores the same
+value, so it is benign under concurrency.
 """
 
 from __future__ import annotations
@@ -114,9 +116,10 @@ class ConvexPolygon:
     equality and hashing are independent of the rotation handed in.
     """
 
-    __slots__ = ("_verts",)
+    __slots__ = ("_verts", "_ints")
 
     def __init__(self, vertices: Iterable = ()):
+        self._ints = None
         pts = [RatPoint(Fraction(x), Fraction(y)) for (x, y) in vertices]
         if not pts:
             self._verts = ()
@@ -140,6 +143,7 @@ class ConvexPolygon:
         """Polygon from points already known to be strictly convex CCW."""
         poly = cls.__new__(cls)
         poly._verts = _rotated(pts)
+        poly._ints = None
         return poly
 
     @classmethod
@@ -173,6 +177,25 @@ class ConvexPolygon:
                           for p in self._verts)
         return f"ConvexPolygon[{inner}]"
 
+    def int_data(self) -> tuple:
+        """The polygon's integers, computed on first use and kept.
+
+        One flat tuple, so that each polygon holds one small object: the
+        bounding box x0, dx0, y0, dy0, x1, dx1, y1, dy1 (each bound a
+        numerator over a positive denominator, x0/dx0 <= x <= x1/dx1 and
+        likewise for y), then a, b, c of each edge form of edge_forms, in
+        order.  The empty polygon gives ().
+        """
+        data = self._ints
+        if data is None:
+            data = ()
+            if self._verts:
+                data = tuple(n for v in self.bbox()
+                             for n in (v.numerator, v.denominator))
+                data += _edge_forms(self._verts)
+            self._ints = data
+        return data
+
     def bbox(self):
         xs = [p.x for p in self._verts]
         ys = [p.y for p in self._verts]
@@ -201,15 +224,23 @@ EMPTY_POLYGON = ConvexPolygon(())
 
 def edge_forms(poly: ConvexPolygon) -> list:
     """Integer (a, b, c) per edge, counter-clockwise from the first vertex:
-    the polygon is the set where a*x + b*y <= c holds for every edge."""
-    verts = poly.vertices
+    the polygon is the set where a*x + b*y <= c holds for every edge.
+
+    Read from the polygon's memo (int_data); the list is the caller's own.
+    """
+    data = poly.int_data()
+    return [data[k:k + 3] for k in range(8, len(data), 3)]
+
+
+def _edge_forms(verts) -> tuple:
+    """The edge forms' coefficients, flattened: a0, b0, c0, a1, ..."""
     n = len(verts)
-    out = []
+    out = ()
     for i in range(n):
         u, v = verts[i], verts[(i + 1) % n]
         a = v.y - u.y
         b = u.x - v.x
-        out.append(int_form(a, b, a * u.x + b * u.y))
+        out += int_form(a, b, a * u.x + b * u.y)
     return out
 
 
@@ -277,24 +308,22 @@ def _locate_convex(poly: ConvexPolygon, p: RatPoint) -> Location:
     verts = poly.vertices
     if not verts:
         return Location(Incidence.OUTSIDE)
-    n = len(verts)
+    x, y, w = _to_h(p)
     on_edges = []
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        s = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-        if s < 0:
+    for i, (a, b, c) in enumerate(edge_forms(poly)):
+        s = a * x + b * y - c * w
+        if s > 0:
             return Location(Incidence.OUTSIDE)
         if s == 0:
-            if p == a:
-                return _vertex_location(verts, i)
-            if p == b:
-                return _vertex_location(verts, (i + 1) % n)
-            if min(a.x, b.x) <= p.x <= max(a.x, b.x) and \
-               min(a.y, b.y) <= p.y <= max(a.y, b.y):
-                on_edges.append(i)
-    if on_edges:
+            on_edges.append(i)
+    if not on_edges:
+        return Location(Incidence.INTERIOR)
+    if len(on_edges) == 1:
         return Location(Incidence.EDGE)
-    return Location(Incidence.INTERIOR)
+    # Inside a strictly convex polygon, two edge lines meet only at the
+    # vertex their edges share: i + 1, or 0 for the edges 0 and n - 1.
+    i, j = on_edges
+    return _vertex_location(verts, 0 if i == 0 and j == len(verts) - 1 else j)
 
 
 def _on_segment(a: RatPoint, b: RatPoint, p: RatPoint) -> bool:

@@ -8,9 +8,11 @@ differential tests live here too."""
 import math
 from fractions import Fraction
 
-from fareymosaics.density import (CompareReport, _bin_rect, _clip_to_rect,
-                                  layer_prefactor)
-from fareymosaics.geometry import ConvexPolygon, area
+from fareymosaics.density import (CompareReport, DensityLayerWeight,
+                                  PointClass, _bin_rect, _clip_to_rect,
+                                  _vertex_angle_fraction, layer_prefactor)
+from fareymosaics.geometry import (ConvexPolygon, Incidence, Location,
+                                   RatPoint, area)
 from fareymosaics.mosaics import assemble_with_orphans
 
 
@@ -241,3 +243,68 @@ def compare_two_pass(hist, cls, tiles, paper_constant=False):
             if th > 0:
                 max_dev = max(max_dev, abs(emp / th - 1.0))
     return CompareReport(l1, max_dev, float(mass), nfull, B * B)
+
+
+def locate_convex_fraction(poly, p):
+    """geometry.locate on a convex polygon as first written: Fraction cross
+    products edge by edge, vertices found by point equality."""
+    verts = poly.vertices
+    if not verts:
+        return Location(Incidence.OUTSIDE)
+    n = len(verts)
+
+    def vertex(i):
+        q, nxt, prv = verts[i], verts[(i + 1) % n], verts[i - 1]
+        return Location(Incidence.VERTEX, ((nxt.x - q.x, nxt.y - q.y),
+                                           (prv.x - q.x, prv.y - q.y)))
+
+    on_edges = []
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        s = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+        if s < 0:
+            return Location(Incidence.OUTSIDE)
+        if s == 0:
+            if p == a:
+                return vertex(i)
+            if p == b:
+                return vertex((i + 1) % n)
+            if min(a.x, b.x) <= p.x <= max(a.x, b.x) and \
+               min(a.y, b.y) <= p.y <= max(a.y, b.y):
+                on_edges.append(i)
+    if on_edges:
+        return Location(Incidence.EDGE)
+    return Location(Incidence.INTERIOR)
+
+
+def g1_eval_scan(query, tiles, paper_constant=False):
+    """density.g1_eval as first written: every tile's Fraction bbox() is
+    rebuilt per query and hits are classified by locate_convex_fraction."""
+    pref = layer_prefactor(query.cls, paper_constant)
+    p = RatPoint(query.point[0], query.point[1])
+    total = Fraction(0)
+    angle_part = 0.0
+    seen = set()
+    for t in tiles:
+        if t.order > query.max_order:
+            continue
+        x0, y0, x1, y1 = t.poly.bbox()
+        if not (x0 <= p.x <= x1 and y0 <= p.y <= y1):
+            continue
+        loc = locate_convex_fraction(t.poly, p)
+        w = DensityLayerWeight(t.kernel, t.multiplicity, pref).contribution
+        if loc.kind == Incidence.INTERIOR:
+            total += w
+        elif loc.kind == Incidence.EDGE:
+            total += w / 2
+        elif loc.kind == Incidence.VERTEX:
+            angle_part += float(w) * _vertex_angle_fraction(loc.directions)
+        seen.add(loc.kind)
+    value = float(total) + angle_part
+    if Incidence.VERTEX in seen:
+        return value, PointClass.ON_VERTEX
+    if Incidence.EDGE in seen:
+        return value, PointClass.ON_EDGE
+    if Incidence.INTERIOR in seen:
+        return value, PointClass.GENERIC
+    return 0.0, PointClass.OUTSIDE

@@ -1,8 +1,9 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import compare_two_pass
+from oracles import compare_two_pass, g1_eval_scan
 
 from fareymosaics.density import (DensityQuery, EmpiricalHistogram,
                                   PointClass, compare, empirical_histogram,
@@ -121,6 +122,25 @@ class TestG1Eval:
                         total += float(layer_weight(t, CLS15).contribution)
                         break
             assert v == pytest.approx(total, rel=1e-12)
+
+    def test_matches_fraction_scan_oracle(self):
+        tiles = enumerate_tiles(CLS15, 10, kernel_cap=60)
+        rng = random.Random(43)
+        pts = [(F(1), F(1)), (F(1, 10), F(1, 10))]
+        for t in rng.sample(tiles, 50):
+            verts = t.poly.vertices
+            for u, v in zip(verts, verts[1:] + verts[:1]):
+                pts += [(u.x, u.y), ((u.x + v.x) / 2, (u.y + v.y) / 2)]
+        pts += [(F(rng.randint(0, 1009), 1009), F(rng.randint(0, 1013), 1013))
+                for _ in range(200)]
+        kinds = set()
+        for pt in pts:
+            q = DensityQuery(pt, CLS15, 10)
+            got = g1_eval(q, tiles=tiles)
+            assert got == g1_eval_scan(q, tiles), pt
+            kinds.add(got[1])
+        assert kinds == {PointClass.GENERIC, PointClass.ON_EDGE,
+                         PointClass.ON_VERTEX, PointClass.OUTSIDE}
 
 
 class TestGsFirstTerm:

@@ -3,13 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import (halfplane_intersection, point_in_polygon_float,
-                     random_convex_polygon)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (halfplane_intersection, locate_convex_fraction,
+                     point_in_polygon_float, random_convex_polygon)
 
 from fareymosaics.errors import GeometryError, OverlapError
-from fareymosaics.geometry import (ConvexPolygon, HalfPlane, Incidence,
-                                   RatPoint, affine_image, area, clip,
-                                   locate, parse_rational, rational_str,
+from fareymosaics.geometry import (EMPTY_POLYGON, ConvexPolygon, HalfPlane,
+                                   Incidence, RatPoint, affine_image, area,
+                                   clip, edge_forms, int_form, locate,
+                                   parse_rational, rational_str,
                                    union_outline)
 
 T = ConvexPolygon([(0, 1), (1, 0), (1, 1)])
@@ -217,6 +220,33 @@ class TestLocate:
                 point_in_polygon_float(poly, float(p.x), float(p.y))
             checked += 1
 
+    def test_integer_locate_matches_fraction_oracle(self):
+        rng = random.Random(29)
+        kinds = set()
+        for _ in range(200):
+            poly = random_convex_polygon(rng)
+            for p in probe_points(poly):
+                got = locate(poly, p)
+                assert got == locate_convex_fraction(poly, p), (poly, p)
+                kinds.add(got.kind)
+        assert kinds == set(Incidence)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6),
+           scale=st.fractions(-5, 5, max_denominator=13).filter(bool))
+    def test_class_unchanged_under_common_scaling(self, seed, scale):
+        rng = random.Random(seed)
+        poly = random_convex_polygon(rng)
+        # a negative scale is a half turn, which keeps the orientation
+        big = ConvexPolygon((scale * v.x, scale * v.y) for v in poly.vertices)
+        for p in probe_points(poly):
+            loc = locate(poly, p)
+            scaled = locate(big, RatPoint(scale * p.x, scale * p.y))
+            assert scaled.kind == loc.kind
+            if loc.directions is not None:
+                assert scaled.directions == tuple(
+                    (scale * dx, scale * dy) for dx, dy in loc.directions)
+
     def test_outline_locate(self):
         s2 = ConvexPolygon([(1, 0), (2, 0), (2, 1), (1, 1)])
         out = union_outline([UNIT_SQUARE, s2])
@@ -227,6 +257,64 @@ class TestLocate:
             Incidence.OUTSIDE
         assert locate(out, RatPoint.of(2, F(1, 2))).kind == Incidence.EDGE
         assert locate(out, RatPoint.of(0, 0)).kind == Incidence.VERTEX
+
+
+def probe_points(poly):
+    """Every vertex, every edge midpoint, the vertex centroid, and a point
+    just outside each edge's midpoint."""
+    verts = poly.vertices
+    n = len(verts)
+    pts = list(verts)
+    for i in range(n):
+        u, v = verts[i], verts[(i + 1) % n]
+        mx, my = (u.x + v.x) / 2, (u.y + v.y) / 2
+        pts.append(RatPoint(mx, my))
+        eps = F(1, 10 ** 6)
+        pts.append(RatPoint(mx + eps * (v.y - u.y), my - eps * (v.x - u.x)))
+    pts.append(RatPoint(sum(v.x for v in verts) / n,
+                        sum(v.y for v in verts) / n))
+    return pts
+
+
+class TestIntegerMemo:
+    def test_equal_and_hash_after_fill(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            poly = random_convex_polygon(rng)
+            locate(poly, poly.vertices[0])
+            poly.int_data()
+            fresh = ConvexPolygon(poly.vertices)
+            assert poly == fresh and hash(poly) == hash(fresh)
+            assert poly.vertices == fresh.vertices
+
+    def test_edge_forms_stable_and_copied(self):
+        rng = random.Random(37)
+        for _ in range(20):
+            poly = random_convex_polygon(rng)
+            verts = poly.vertices
+            n = len(verts)
+            expected = []
+            for i in range(n):
+                u, v = verts[i], verts[(i + 1) % n]
+                a, b = v.y - u.y, u.x - v.x
+                expected.append(int_form(a, b, a * u.x + b * u.y))
+            first = edge_forms(poly)          # fills the memo
+            assert first == expected
+            first.clear()
+            first.append((0, 0, 0))
+            assert edge_forms(poly) == expected
+            assert list(poly.int_data()[8:]) == [n for f in expected
+                                                 for n in f]
+
+    def test_memo_box_is_bbox(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            poly = random_convex_polygon(rng)
+            box = poly.int_data()[:8]
+            assert tuple(F(n, d) for n, d in zip(box[::2], box[1::2])) == \
+                poly.bbox()
+        assert EMPTY_POLYGON.int_data() == ()
+        assert edge_forms(EMPTY_POLYGON) == []
 
 
 class TestSerialization:
