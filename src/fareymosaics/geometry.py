@@ -13,6 +13,7 @@ value, so it is benign under concurrency.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -244,6 +245,15 @@ def _edge_forms(verts) -> tuple:
     return out
 
 
+def line_key(form) -> tuple:
+    """Canonical key of the line of an edge form: the sign of the coprime
+    (a, b, c) fixed so that the first nonzero normal entry is positive."""
+    a, b, c = form
+    if a < 0 or (a == 0 and b < 0):
+        return -a, -b, -c
+    return a, b, c
+
+
 def area(poly: ConvexPolygon) -> Fraction:
     """Exact shoelace area; the empty polygon has area 0."""
     total = _loop_area2(poly.vertices)
@@ -415,16 +425,21 @@ def locate(region: Union[ConvexPolygon, Outline], p: RatPoint) -> Location:
 # ---------------------------------------------------------------------------
 
 
+def boxes_overlap(d, e) -> bool:
+    """Whether the open bounding boxes of two nonempty polygons meet, read
+    from their int_data() tuples d and e by cross-multiplying the bounds."""
+    return (e[0] * d[5] < d[4] * e[1] and d[0] * e[5] < e[4] * d[1] and
+            e[2] * d[7] < d[6] * e[3] and d[2] * e[7] < e[6] * d[3])
+
+
 def _check_interior_disjoint(tiles: Sequence[ConvexPolygon]):
     hs = [t.to_h() for t in tiles]
-    boxes = [t.bbox() for t in tiles]
+    data = [t.int_data() for t in tiles]
     for i in range(len(tiles)):
-        x0, y0, x1, y1 = boxes[i]
+        d = data[i]
         for j in range(i + 1, len(tiles)):
-            a0, b0, a1, b1 = boxes[j]
-            if a0 >= x1 or x0 >= a1 or b0 >= y1 or y0 >= b1:
-                continue
-            if _intgeom.interiors_intersect(hs[i], hs[j]):
+            if boxes_overlap(d, data[j]) and \
+                    _intgeom.interiors_intersect(hs[i], hs[j]):
                 raise OverlapError(
                     f"tiles {i} and {j} have intersecting interiors")
 
@@ -452,55 +467,68 @@ def _more_ccw(din, u, v) -> bool:
 def union_outline(tiles: Sequence[ConvexPolygon]) -> Outline:
     """Outline of a union of interior-disjoint convex tiles.
 
-    Every edge is split at every vertex of any other tile lying on it;
-    fragments occurring in both directions cancel; survivors are stitched
-    into loops and collinear runs are merged.  Raises OverlapError when two
-    tiles share interior area.
+    Tile edges are grouped by the line they lie on.  On each line the
+    distinct edge endpoints are sorted once and every edge adds +1 over its
+    span when it runs in increasing lexicographic order, -1 otherwise; the
+    net count of each interval between neighbouring endpoints is 0 inside
+    the union and +-1 on its boundary, in that direction.  The surviving
+    intervals are split at every tile vertex strictly inside them (where a
+    tile touches the line without an edge on it), stitched into loops, and
+    collinear runs are merged.  Raises OverlapError when two tiles share
+    interior area or a net count exceeds 1.
     """
     tiles = [t for t in tiles if not t.is_empty]
     if not tiles:
         return Outline(())
     _check_interior_disjoint(tiles)
+    return _stitch(_boundary_fragments(tiles))
 
-    pool = set()
-    for t in tiles:
-        pool.update(t.vertices)
 
-    fragments = {}
-
-    def toggle(u, v):
-        if fragments.get((v, u), 0) > 0:
-            fragments[(v, u)] -= 1
-            if fragments[(v, u)] == 0:
-                del fragments[(v, u)]
-        else:
-            fragments[(u, v)] = fragments.get((u, v), 0) + 1
-
+def _boundary_fragments(tiles) -> list:
+    """The directed boundary fragments of union_outline, one line at a time:
+    each fragment runs between neighbouring tile vertices on its line."""
+    by_line = {}
     for t in tiles:
         verts = t.vertices
         n = len(verts)
-        for i in range(n):
-            u, v = verts[i], verts[(i + 1) % n]
-            dx, dy = v.x - u.x, v.y - u.y
-            mids = []
-            for w in pool:
-                if w == u or w == v:
-                    continue
-                if (w.x - u.x) * dy - (w.y - u.y) * dx != 0:
-                    continue
-                # parameter along the edge, exact
-                t_param = ((w.x - u.x) * dx + (w.y - u.y) * dy) / \
-                    (dx * dx + dy * dy)
-                if 0 < t_param < 1:
-                    mids.append((t_param, w))
-            mids.sort()
-            chain = [u] + [w for _, w in mids] + [v]
-            for a, b in zip(chain, chain[1:]):
-                toggle(a, b)
+        for i, form in enumerate(edge_forms(t)):
+            by_line.setdefault(line_key(form), []).append(
+                (verts[i], verts[(i + 1) % n]))
 
-    if any(cnt > 1 for cnt in fragments.values()):
-        raise OverlapError("duplicate boundary fragment; tiles overlap")
+    pool = {p: h for t in tiles for p, h in zip(t.vertices, t.to_h())}
+    fragments = []
+    for (a, b, c), edges in by_line.items():
+        pts = sorted({p for edge in edges for p in edge})
+        at = {p: k for k, p in enumerate(pts)}
+        # +1 at each edge's start, -1 at its end: the prefix sums count the
+        # edges over each interval, those running backwards as -1
+        diff = [0] * len(pts)
+        for u, v in edges:
+            diff[at[u]] += 1
+            diff[at[v]] -= 1
+        on_line = None
+        net = 0
+        for k in range(len(pts) - 1):
+            net += diff[k]
+            if net == 0:
+                continue
+            if net > 1 or net < -1:
+                raise OverlapError("duplicate boundary fragment; tiles overlap")
+            if on_line is None:
+                on_line = sorted(p for p, (x, y, w) in pool.items()
+                                 if a * x + b * y == c * w)
+            chain = on_line[bisect_left(on_line, pts[k]):
+                            bisect_right(on_line, pts[k + 1])]
+            if net < 0:
+                chain.reverse()
+            fragments += zip(chain, chain[1:])
+    return fragments
 
+
+def _stitch(fragments) -> Outline:
+    """Loops from directed boundary fragments: at each vertex the sharpest
+    left turn is followed; collinear runs are merged; loops are sorted by
+    decreasing signed area."""
     out_map = {}
     for (u, v) in fragments:
         out_map.setdefault(u, []).append(v)

@@ -23,8 +23,8 @@ from ._intgeom import interiors_intersect
 from .errors import (AmbiguityError, DomainError, OrphanWarning,
                      PartnerMissing, ShapeError)
 from .farey import ProgressionClass
-from .geometry import (Outline, RatPoint, edge_forms, rational_str,
-                       union_outline)
+from .geometry import (Outline, RatPoint, boxes_overlap, edge_forms,
+                       line_key, rational_str, union_outline)
 from .tiles import Tile, enumerate_tiles
 
 _NE_CORNER = RatPoint(Fraction(1), Fraction(1))
@@ -79,15 +79,6 @@ class AdjacencyTree:
         return len(seen) == len(self.nodes)
 
 
-def _edge_key(form):
-    """Canonical key of the line of an edge form: the sign of the coprime
-    (a, b, c) fixed so that the first nonzero normal entry is positive."""
-    a, b, c = form
-    if a < 0 or (a == 0 and b < 0):
-        return -a, -b, -c
-    return a, b, c
-
-
 def shared_edge_pairs(polys) -> set:
     """Indices (i, j) of polygons sharing a boundary segment of positive
     length, found by grouping directed edges on common lines."""
@@ -99,7 +90,7 @@ def shared_edge_pairs(polys) -> set:
             u, v = verts[t], verts[(t + 1) % n]
             # orient the interval along the line by lexicographic order
             lo, hi = (u, v) if u < v else (v, u)
-            by_line.setdefault(_edge_key(form), []).append((lo, hi, idx))
+            by_line.setdefault(line_key(form), []).append((lo, hi, idx))
     out = set()
     for key, entries in by_line.items():
         entries.sort()
@@ -114,24 +105,22 @@ def shared_edge_pairs(polys) -> set:
     return out
 
 
-def _attach_candidates(idx, adjacency, tile_hs, boxes, mosaics_members,
-                       orders):
+def _attach_candidates(idx, neighbours, tile_hs, boxes, mosaics_members,
+                       member_sets):
     """Mosaic indices tile idx can join: edge-adjacent to a member of
     neighboring order (mosaic chains of consecutive orders abut; distinct
     mosaics meet across larger order jumps) and interior-disjoint from the
     whole mosaic."""
     cands = []
+    near = neighbours[idx]
+    box = boxes[idx]
     for mi, members in enumerate(mosaics_members):
-        if not any((min(idx, m), max(idx, m)) in adjacency and
-                   abs(orders[idx] - orders[m]) == 1 for m in members):
+        if near.isdisjoint(member_sets[mi]):
             continue
-        x0, y0, x1, y1 = boxes[idx]
         ok = True
         for m in members:
-            a0, b0, a1, b1 = boxes[m]
-            if a0 >= x1 or x0 >= a1 or b0 >= y1 or y0 >= b1:
-                continue
-            if interiors_intersect(tile_hs[idx], tile_hs[m]):
+            if boxes_overlap(box, boxes[m]) and \
+                    interiors_intersect(tile_hs[idx], tile_hs[m]):
                 ok = False
                 break
         if ok:
@@ -158,14 +147,19 @@ def assemble_with_orphans(tiles, kernel: int):
     if not tiles:
         return [], []
     polys = [t.poly for t in tiles]
-    adjacency = shared_edge_pairs(polys)
     tile_hs = [p.to_h() for p in polys]
-    boxes = [p.bbox() for p in polys]
+    boxes = [p.int_data() for p in polys]
+    # each tile's edge-adjacent tiles of neighbouring order
+    neighbours = [set() for _ in tiles]
+    for i, j in shared_edge_pairs(polys):
+        if abs(tiles[i].order - tiles[j].order) == 1:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
 
-    orders = [t.order for t in tiles]
     seed_idx = [i for i, t in enumerate(tiles)
                 if _NE_CORNER in t.poly.vertices]
     members = [[i] for i in seed_idx]
+    member_sets = [{i} for i in seed_idx]
 
     unattached = [i for i in range(len(tiles)) if i not in set(seed_idx)]
     progress = True
@@ -173,8 +167,9 @@ def assemble_with_orphans(tiles, kernel: int):
         progress = False
         # evaluate candidates against the current state first, so a tile
         # reachable from two mosaics in the same round is visible as such
-        cands = {i: _attach_candidates(i, adjacency, tile_hs, boxes,
-                                       members, orders) for i in unattached}
+        cands = {i: _attach_candidates(i, neighbours, tile_hs, boxes,
+                                       members, member_sets)
+                 for i in unattached}
         ambiguous = [i for i, cs in cands.items() if len(cs) > 1]
         if ambiguous:
             i = ambiguous[0]
@@ -184,10 +179,11 @@ def assemble_with_orphans(tiles, kernel: int):
                 tile_k=tiles[i].k,
                 candidates=[tiles[members[m][0]].k for m in cands[i]])
         for i in list(unattached):
-            cs = _attach_candidates(i, adjacency, tile_hs, boxes, members,
-                                    orders)
+            cs = _attach_candidates(i, neighbours, tile_hs, boxes, members,
+                                    member_sets)
             if len(cs) == 1:
                 members[cs[0]].append(i)
+                member_sets[cs[0]].add(i)
                 unattached.remove(i)
                 progress = True
 

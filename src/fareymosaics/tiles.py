@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._intgeom import hclip
+from ._intgeom import hclip, hreduce
 from .continuants import (IndexTuple, continuant, continuant_shifted,
                           validate_index_tuple)
 from .errors import BudgetError, DomainError
@@ -304,11 +304,29 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
             if descend:
                 stack.append((kk, child, lc, ln, tuple(live2)))
 
-    raw.sort(key=lambda rec: rec[0])
+    # Records are popped in increasing k, so each is freed once its tile is
+    # built.  Neighbouring tiles meet at vertices and residue sets repeat;
+    # equal ones are built once and shared, which keeps a large enumeration
+    # far smaller in memory.
+    raw.sort(key=lambda rec: rec[0], reverse=True)
     out = []
-    for k, m, hpoly, ln in raw:
-        kern = ln[1]
-        img = affine_image(ConvexPolygon.from_h(hpoly), kern, -ln[0])
-        res = AdmissibleResidues(k, (len(k) + 1,), cls, frozenset(m))
-        out.append(Tile(k, (len(k) + 1,), img, kern, res))
+    points = {}
+    residue_sets = {}
+    while raw:
+        k, m, hpoly, ln = raw.pop()
+        kern, shift = ln[1], ln[0]
+        verts = []
+        # the image under (x, y) -> (x, kern*y + shift*x), as affine_image
+        for (x, y, w) in hpoly:
+            h = hreduce((x, kern * y + shift * x, w))
+            p = points.get(h)
+            if p is None:
+                hx, hy, hw = h
+                p = points[h] = RatPoint(Fraction(hx, hw), Fraction(hy, hw))
+            verts.append(p)
+        pattern = (len(k) + 1,)
+        res = AdmissibleResidues(k, pattern, cls,
+                                 residue_sets.setdefault(m, frozenset(m)))
+        out.append(Tile(k, pattern, ConvexPolygon._from_ccw(verts), kern,
+                        res))
     return out

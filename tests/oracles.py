@@ -8,11 +8,13 @@ differential tests live here too."""
 import math
 from fractions import Fraction
 
+from fareymosaics import _intgeom
 from fareymosaics.density import (CompareReport, DensityLayerWeight,
                                   PointClass, _bin_rect, _clip_to_rect,
                                   _vertex_angle_fraction, layer_prefactor)
+from fareymosaics.errors import OverlapError
 from fareymosaics.geometry import (ConvexPolygon, Incidence, Location,
-                                   RatPoint, area)
+                                   Outline, RatPoint, _stitch, area)
 from fareymosaics.mosaics import assemble_with_orphans
 
 
@@ -308,3 +310,66 @@ def g1_eval_scan(query, tiles, paper_constant=False):
     if Incidence.INTERIOR in seen:
         return value, PointClass.GENERIC
     return 0.0, PointClass.OUTSIDE
+
+
+def union_outline_pairwise(tiles):
+    """geometry.union_outline as first written: Fraction bbox() corners
+    screen the disjointness check, every edge is split at every pool vertex
+    lying on it, and fragments cancel one toggle at a time.  O(E * V)."""
+    tiles = [t for t in tiles if not t.is_empty]
+    if not tiles:
+        return Outline(())
+    hs = [t.to_h() for t in tiles]
+    boxes = [t.bbox() for t in tiles]
+    for i in range(len(tiles)):
+        x0, y0, x1, y1 = boxes[i]
+        for j in range(i + 1, len(tiles)):
+            a0, b0, a1, b1 = boxes[j]
+            if a0 >= x1 or x0 >= a1 or b0 >= y1 or y0 >= b1:
+                continue
+            if _intgeom.interiors_intersect(hs[i], hs[j]):
+                raise OverlapError(
+                    f"tiles {i} and {j} have intersecting interiors")
+    return _stitch(boundary_fragments_pairwise(tiles))
+
+
+def boundary_fragments_pairwise(tiles):
+    """The boundary fragments of union_outline_pairwise, as a list."""
+    pool = set()
+    for t in tiles:
+        pool.update(t.vertices)
+
+    fragments = {}
+
+    def toggle(u, v):
+        if fragments.get((v, u), 0) > 0:
+            fragments[(v, u)] -= 1
+            if fragments[(v, u)] == 0:
+                del fragments[(v, u)]
+        else:
+            fragments[(u, v)] = fragments.get((u, v), 0) + 1
+
+    for t in tiles:
+        verts = t.vertices
+        n = len(verts)
+        for i in range(n):
+            u, v = verts[i], verts[(i + 1) % n]
+            dx, dy = v.x - u.x, v.y - u.y
+            mids = []
+            for w in pool:
+                if w == u or w == v:
+                    continue
+                if (w.x - u.x) * dy - (w.y - u.y) * dx != 0:
+                    continue
+                t_param = ((w.x - u.x) * dx + (w.y - u.y) * dy) / \
+                    (dx * dx + dy * dy)
+                if 0 < t_param < 1:
+                    mids.append((t_param, w))
+            mids.sort()
+            chain = [u] + [w for _, w in mids] + [v]
+            for a, b in zip(chain, chain[1:]):
+                toggle(a, b)
+
+    if any(cnt > 1 for cnt in fragments.values()):
+        raise OverlapError("duplicate boundary fragment; tiles overlap")
+    return list(fragments)

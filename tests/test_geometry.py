@@ -5,15 +5,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (halfplane_intersection, locate_convex_fraction,
-                     point_in_polygon_float, random_convex_polygon)
+from oracles import (boundary_fragments_pairwise, halfplane_intersection,
+                     locate_convex_fraction, point_in_polygon_float,
+                     random_convex_polygon, union_outline_pairwise)
 
+from fareymosaics import _intgeom
 from fareymosaics.errors import GeometryError, OverlapError
 from fareymosaics.geometry import (EMPTY_POLYGON, ConvexPolygon, HalfPlane,
                                    Incidence, RatPoint, affine_image, area,
-                                   clip, edge_forms, int_form, locate,
-                                   parse_rational, rational_str,
+                                   boxes_overlap, clip, edge_forms, int_form,
+                                   locate, parse_rational, rational_str,
                                    union_outline)
+from fareymosaics.geometry import _boundary_fragments
 
 T = ConvexPolygon([(0, 1), (1, 0), (1, 1)])
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -126,6 +129,16 @@ class TestPolygonValidation:
             ConvexPolygon([(1, 1), (0, 1), (1, 0)])
 
 
+def _outline_as_oracle(tiles):
+    """union_outline(tiles), checked against the pairwise oracle: the same
+    Outline from the same multiset of boundary fragments."""
+    out = union_outline(tiles)
+    assert out == union_outline_pairwise(tiles)
+    assert sorted(_boundary_fragments(tiles)) == \
+        sorted(boundary_fragments_pairwise(tiles))
+    return out
+
+
 class TestUnionOutline:
     def test_single_tile(self):
         out = union_outline([T])
@@ -172,6 +185,13 @@ class TestUnionOutline:
         with pytest.raises(OverlapError):
             union_outline([UNIT_SQUARE, shifted])
 
+    def test_duplicate_fragment(self):
+        # reached only past the disjointness check, so call the fragment
+        # step on its own: two copies of one tile double every fragment
+        for fragments in (_boundary_fragments, boundary_fragments_pairwise):
+            with pytest.raises(OverlapError, match="duplicate boundary"):
+                fragments([UNIT_SQUARE, UNIT_SQUARE])
+
     def test_hole(self):
         # ring of 8 cells around a missing center -> outer loop plus hole
         cells = []
@@ -186,6 +206,106 @@ class TestUnionOutline:
         assert len(out.outer_loops()) == 1
         assert len(out.holes()) == 1
         assert out.area() == F(8, 9)
+
+    def test_vertex_touching_edge_interior(self):
+        # the lower triangle's apex (1,0) lies inside the upper one's base,
+        # which must be split there for the two loops to close
+        upper = ConvexPolygon([(0, 0), (2, 0), (1, 2)])
+        lower = ConvexPolygon([(0, -1), (2, -1), (1, 0)])
+        out = _outline_as_oracle([upper, lower])
+        assert out.loops == (upper.vertices, lower.vertices)
+        assert out.area() == 3
+
+    def test_hole_with_t_junction_on_rim(self):
+        # 3x3 grid without its center; the cell above the hole is cut in
+        # two, so the hole's upper rim has the T-junction (3/2, 2)
+        def box(x0, y0, x1, y1):
+            return ConvexPolygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+        cells = [box(i, j, i + 1, j + 1) for i in range(3) for j in range(3)
+                 if (i, j) not in ((1, 1), (1, 2))]
+        cells += [box(1, 2, F(3, 2), 3), box(F(3, 2), 2, 2, 3)]
+        out = _outline_as_oracle(cells)
+        assert out.outer_loops() == [box(0, 0, 3, 3).vertices]
+        assert out.holes() == [tuple(RatPoint.of(x, y) for x, y in
+                                     ((1, 1), (1, 2), (2, 2), (2, 1)))]
+        assert out.area() == 8
+
+    def test_boxes_overlap_matches_fraction_bbox(self):
+        rng = random.Random(43)
+        polys = [random_convex_polygon(rng, denom=rng.choice((1, 3, 40)),
+                                       span=2) for _ in range(40)]
+        polys.append(UNIT_SQUARE)
+        polys.append(ConvexPolygon([(1, 0), (2, 0), (2, 1), (1, 1)]))
+        for p in polys:
+            for q in polys:
+                x0, y0, x1, y1 = p.bbox()
+                a0, b0, a1, b1 = q.bbox()
+                expected = not (a0 >= x1 or x0 >= a1 or b0 >= y1 or y0 >= b1)
+                assert boxes_overlap(p.int_data(), q.int_data()) == expected
+
+    def test_overlap_names_the_oracles_pair(self):
+        rng = random.Random(47)
+        raised = 0
+        for _ in range(40):
+            polys = [random_convex_polygon(rng, span=3) for _ in range(4)]
+            try:
+                union_outline_pairwise(polys)
+            except OverlapError as exc:
+                raised += 1
+                with pytest.raises(OverlapError) as info:
+                    union_outline(polys)
+                assert str(info.value) == str(exc)
+            else:
+                _outline_as_oracle(polys)
+        assert raised
+
+
+def _cut(rng, poly, keep):
+    """poly cut into convex pieces by chords through random pieces' vertex
+    centroids, each piece cut on its own so T-junctions arise; a random
+    subset is kept.  Half of the chords also pass through a vertex of the
+    piece, so that pieces can touch a line at a vertex alone.  Checks hclip
+    on every cut: idempotent, and the two halves' areas add up to the
+    piece's."""
+    pieces = [poly]
+    for _ in range(rng.randint(1, 8)):
+        k = rng.randrange(len(pieces))
+        piece = pieces[k]
+        verts = piece.vertices
+        cx = sum(p.x for p in verts) / len(verts)
+        cy = sum(p.y for p in verts) / len(verts)
+        if rng.random() < 0.5:
+            v = rng.choice(verts)
+            dx, dy = v.x - cx, v.y - cy
+        else:
+            dx, dy = F(rng.randint(-4, 4)), F(rng.randint(-4, 4))
+            if dx == dy == 0:
+                continue
+        a, b, c = int_form(dy, -dx, dy * cx - dx * cy)
+        h = piece.to_h()
+        left = _intgeom.hclip(h, a, b, c)
+        right = _intgeom.hclip(h, -a, -b, -c)
+        assert _intgeom.hclip(left, a, b, c) == left
+        assert _intgeom.hclip(right, -a, -b, -c) == right
+        left = ConvexPolygon.from_h(left)
+        right = ConvexPolygon.from_h(right)
+        assert area(left) + area(right) == area(piece)
+        pieces[k:k + 1] = [left, right]
+    return [p for p in pieces if rng.random() < keep]
+
+
+class TestUnionOutlineProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), keep=st.sampled_from((0.5, 0.8, 1)))
+    def test_cut_pieces_match_oracle(self, seed, keep):
+        rng = random.Random(seed)
+        poly = random_convex_polygon(rng, denom=rng.choice((1, 2, 12)))
+        kept = _cut(rng, poly, keep)
+        out = _outline_as_oracle(kept)
+        assert out.area() == sum((area(p) for p in kept), F(0))
+        if keep == 1:
+            assert out.loops == (poly.vertices,)
 
 
 class TestLocate:

@@ -2,16 +2,17 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
-from oracles import component_groups, first_return_tuples
+from oracles import (component_groups, first_return_tuples,
+                     union_outline_pairwise)
 
 from fareymosaics import catalog
 from fareymosaics.errors import DomainError, OrphanWarning, PartnerMissing
 from fareymosaics.farey import ProgressionClass
-from fareymosaics.geometry import RatPoint, area, rational_str
+from fareymosaics.geometry import ConvexPolygon, RatPoint, area, rational_str
 from fareymosaics.mosaics import (adjacency_tree, assemble,
                                   assemble_with_orphans, shared_edge_pairs,
                                   symmetry_partner, table, vertices)
-from fareymosaics.tiles import enumerate_tiles, tile
+from fareymosaics.tiles import Tile, enumerate_tiles, tile
 
 CLS15 = ProgressionClass(1, 5)
 
@@ -73,6 +74,54 @@ class TestAssembleD5:
                 len(group), shared_edge_pairs([t.poly for t in group]), seeds)
             assert sorted(sorted(t.k for t in m.tiles) for m in seeded) == \
                 sorted(sorted(group[i].k for i in c) for c in comps)
+
+
+class TestAttachRule:
+    def test_only_neighbouring_orders_attach(self):
+        # B shares an edge with the seed A but has A's order, so it stays
+        # an orphan; C, one order deeper, attaches below A
+        def box(x0, y0, x1, y1):
+            return ConvexPolygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+        h = F(1, 2)
+        a = Tile((5,), (2,), box(h, h, 1, 1), 5, None)
+        b = Tile((6,), (2,), box(0, h, h, 1), 5, None)
+        c = Tile((2, 3), (3,), box(h, 0, 1, h), 5, None)
+        mosaics, orphans = assemble_with_orphans([b, c, a], 5)
+        assert [m.tiles for m in mosaics] == [(c, a)]
+        assert orphans == [b]
+
+
+class TestOutlineMatchesPairwiseOracle:
+    """Every assembled mosaic's outline equals the one the pairwise
+    O(E * V) oracle builds from the same tiles.  Kernel 3 of d=12 at
+    max_order 30 is left out: its two mosaics (517 and 244 tiles) take
+    the oracle about 24 s."""
+
+    @staticmethod
+    def _check(tiles, kernels):
+        count = 0
+        for kern in kernels:
+            group = [t for t in tiles if t.kernel == kern]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OrphanWarning)
+                mosaics, _ = assemble_with_orphans(group, kern)
+            for m in mosaics:
+                polys = [t.poly for t in m.tiles]
+                assert m.outline == union_outline_pairwise(polys), m.name
+                count += 1
+        return count
+
+    def test_d5_kernels_to_60(self):
+        tiles = enumerate_tiles(CLS15, 14, kernel_cap=60)
+        assert self._check(tiles, range(1, 61)) == 133
+
+    def test_d12_max_order_30(self, d12_tiles_30):
+        assert self._check(d12_tiles_30, (9, 15, 21, 27)) == 22
+
+    def test_d12_kernel3_max_order_20(self, d12_cls):
+        tiles = enumerate_tiles(d12_cls, 20, kernel_cap=3, budget=10 ** 7)
+        assert self._check(tiles, (3,)) == 2
 
 
 class TestVertices:
@@ -257,8 +306,10 @@ class TestStackedKernels:
         tiles = enumerate_tiles(cls, 30, 12, budget=10 ** 7)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OrphanWarning)
-            with pytest.raises(AmbiguityError):
+            with pytest.raises(AmbiguityError) as info:
                 assemble(tiles, 12)
+        assert info.value.tile_k == (1, 5, 1, 3, 2, 1, 11, 1, 2, 2, 3, 1, 5, 1)
+        assert info.value.candidates == ((2,) * 11, (3, 1, 6, 1, 3))
 
     @pytest.mark.parametrize("kern", sorted(catalog.D12_STACKED_KERNELS))
     def test_aggregates(self, kern):

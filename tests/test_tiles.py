@@ -205,6 +205,22 @@ class TestEnumerate:
                                 budget=10 ** 7)
             assert [t.k for t in a] == [t.k for t in b]
 
+    def test_matches_single_tile_builder(self):
+        # each enumerated tile equals the one tile() builds on its own from
+        # region(k), affine_image and admissible_residues; equal vertices
+        # and residue sets are shared as one object
+        for (c, d, N, cap) in [(1, 5, 10, 30), (3, 12, 12, 15),
+                               (2, 7, 9, 20)]:
+            cls = ProgressionClass(c, d)
+            tiles = enumerate_tiles(cls, N, kernel_cap=cap)
+            assert tiles
+            for t in tiles:
+                assert tile(t.k, t.pattern, cls) == t
+            verts = [p for t in tiles for p in t.poly.vertices]
+            assert len({id(p) for p in verts}) == len(set(verts))
+            sets = [t.residues.residues for t in tiles]
+            assert len({id(r) for r in sets}) == len(set(sets))
+
     def test_multiplicity_carried(self):
         tiles = enumerate_tiles(CLS15, 5, 5)
         root = next(t for t in tiles if t.k == (2, 2, 2, 2))
