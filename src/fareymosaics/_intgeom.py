@@ -2,12 +2,15 @@
 
 Vertices are integer triples (X, Y, W) with W > 0 representing the exact
 rational point (X/W, Y/W).  Everything here is pure integer arithmetic, so
-the hot enumeration loops never touch Fraction objects.  A polygon is a list
-of triples in counter-clockwise order with no repeated and no three
-consecutive collinear vertices; the empty list is the empty polygon.
+the hot enumeration and integration loops never touch Fraction objects; only
+harea, the exact area, hands back one Fraction per polygon.  A polygon is a
+list of triples in counter-clockwise order with no repeated and no three
+consecutive collinear vertices (canonical); the empty list is the empty
+polygon.
 """
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 
 def hreduce(v):
@@ -19,61 +22,15 @@ def hreduce(v):
     return v
 
 
-def heq(u, v):
-    """Exact equality of two homogeneous points."""
-    return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
-
-
-def hturn(a, b, c):
-    """Sign of the cross product (b-a) x (c-b); > 0 for a left turn."""
-    # (b-a) and (c-b) in homogeneous form, scaled by positive factors only.
-    ux = b[0] * a[2] - a[0] * b[2]
-    uy = b[1] * a[2] - a[1] * b[2]
-    vx = c[0] * b[2] - b[0] * c[2]
-    vy = c[1] * b[2] - b[1] * c[2]
-    t = ux * vy - uy * vx
-    return (t > 0) - (t < 0)
-
-
-def hcanon(verts):
-    """Drop duplicate and collinear vertices; [] when degenerate.
-
-    Input must be convex and counter-clockwise up to those degeneracies.
-    """
-    n = len(verts)
-    if n == 0:
-        return []
-    out = [verts[0]]
-    for v in verts[1:]:
-        if not heq(out[-1], v):
-            out.append(v)
-    if len(out) > 1 and heq(out[0], out[-1]):
-        out.pop()
-    # Repeatedly remove middles of collinear (or reflex, impossible for
-    # convex input) triples until every remaining corner is a strict turn.
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        i = 0
-        while i < len(out) and len(out) >= 3:
-            a = out[i - 1]
-            b = out[i]
-            c = out[(i + 1) % len(out)]
-            if hturn(a, b, c) <= 0:
-                out.pop(i)
-                changed = True
-            else:
-                i += 1
-    if len(out) < 3:
-        return []
-    return out
-
-
 def hclip(verts, a, b, c):
-    """Clip a convex CCW polygon against the half-plane a*x + b*y <= c.
+    """Clip a canonical convex CCW polygon against the half-plane
+    a*x + b*y <= c (integer coefficients).
 
     Returns a canonical convex CCW polygon ([] when the intersection has
-    zero area).  Coefficients are integers.
+    zero area).  A line meets the boundary of a strictly convex polygon in
+    at most two points, and a crossing lies strictly inside its edge, so
+    the kept vertices and crossings repeat no point and put no three in a
+    row; three or more of them always enclose area.
     """
     n = len(verts)
     if n == 0:
@@ -97,7 +54,21 @@ def hclip(verts, a, b, c):
             if iw < 0:
                 ix, iy, iw = -ix, -iy, -iw
             out.append(hreduce((ix, iy, iw)))
-    return hcanon(out)
+    return out if len(out) >= 3 else []
+
+
+def harea(verts):
+    """Exact area of a CCW polygon as one Fraction (0 for the empty one).
+
+    Every vertex is brought to the common denominator L = lcm of the W
+    values, so the shoelace sum runs over integers and is divided once, by
+    2 * L * L.
+    """
+    den = lcm(*(w for (_, _, w) in verts))
+    pts = [(x * (den // w), y * (den // w)) for (x, y, w) in verts]
+    s = sum(x1 * y2 - x2 * y1
+            for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]))
+    return Fraction(s, 2 * den * den)
 
 
 def hintersect(pa, pb):

@@ -7,9 +7,12 @@ lattice-count main term for one starting residue by the main term of
 converge to 1; the classical constant 2/phi(d) (which agrees exactly when
 d divides c) stays available behind paper_constant=True for comparison.
 
-Theoretical bin masses are integrated by exact polygon clipping, never by
-sampling, so comparisons carry no Monte-Carlo noise.  Empirical histograms
-are single-pass folds over the Farey stream with O(1) state beyond the grid.
+Theoretical bin masses are integrated exactly, never by sampling, so
+comparisons carry no Monte-Carlo noise: each tile is swept through the bin
+columns and then each column through its rows by integer half-plane clips
+on homogeneous vertices, and each piece's area is one exact Fraction.
+Empirical histograms are single-pass folds over the Farey stream with O(1)
+state beyond the grid.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from fractions import Fraction
 from .continuants import index_sequence_real
 from .errors import DomainError
 from .farey import ProgressionClass, TupleType, farey_filtered
-from .geometry import (HalfPlane, Incidence, RatPoint, _to_h, area, clip,
+from ._intgeom import harea, hclip
+# clip stays importable here: the benchmark's traced run rebinds density.clip
+from .geometry import (Incidence, RatPoint, _to_h, area, clip,  # noqa: F401
                        edge_forms, locate)
 from .mosaics import assemble_with_orphans
 from .progression import admissible_residues, euler_phi
@@ -126,7 +131,7 @@ def g1_eval(query: DensityQuery, *, kernel_cap: int = DENSITY_KERNEL_CAP,
     for t in tiles:
         if t.order > query.max_order:
             continue
-        x0, dx0, y0, dy0, x1, dx1, y1, dy1 = t.poly.int_data()[:8]
+        x0, dx0, y0, dy0, x1, dx1, y1, dy1 = t.poly.int_box()
         if not (x0 * W <= X * dx0 and X * dx1 <= x1 * W and
                 y0 * W <= Y * dy0 and Y * dy1 <= y1 * W):
             continue
@@ -254,22 +259,36 @@ class CompareReport:
                 "full_bins": self.full_bins, "bins": self.bins}
 
 
-def _bin_rect(i, j, B):
-    return (Fraction(i, B), Fraction(j, B), Fraction(i + 1, B),
-            Fraction(j + 1, B))
+def _bin_pieces(poly, B):
+    """(i, j, piece) for every piece of positive area that a B x B grid of
+    bins over [0, 1]^2 cuts from a convex polygon; each piece is a list of
+    homogeneous integer vertices.
 
-
-def _clip_to_rect(poly, x0, y0, x1, y1):
-    out = clip(poly, HalfPlane(1, 0, x1))
-    if out.is_empty:
-        return out
-    out = clip(out, HalfPlane(-1, 0, -x0))
-    if out.is_empty:
-        return out
-    out = clip(out, HalfPlane(0, 1, y1))
-    if out.is_empty:
-        return out
-    return clip(out, HalfPlane(0, -1, -y0))
+    The bin columns come from the polygon's integer box by floor division.
+    The polygon's homogeneous vertices are swept through the columns, each
+    clip splitting off one column strip and keeping the rest for the next;
+    each column is swept through its rows likewise.  Every clip is an
+    integer hclip.
+    """
+    x0, dx0, _, _, x1, dx1, _, _ = poly.int_box()
+    i0 = max(0, x0 * B // dx0)
+    i1 = min(B - 1, (x1 * B - 1) // dx1)
+    rest = hclip(poly.to_h(), -B, 0, -i0)           # x >= i0/B
+    for i in range(i0, i1 + 1):
+        col = hclip(rest, B, 0, i + 1)              # x <= (i+1)/B
+        if i < i1:
+            rest = hclip(rest, -B, 0, -(i + 1))     # x >= (i+1)/B
+        if not col:
+            continue
+        j0 = max(0, min(y * B // w for (_, y, w) in col))
+        j1 = min(B - 1, max((y * B - 1) // w for (_, y, w) in col))
+        cell = hclip(col, 0, -B, -j0)               # y >= j0/B
+        for j in range(j0, j1 + 1):
+            piece = hclip(cell, 0, B, j + 1)        # y <= (j+1)/B
+            if j < j1:
+                cell = hclip(cell, 0, -B, -(j + 1))  # y >= (j+1)/B
+            if piece:
+                yield i, j, piece
 
 
 def compare(hist: EmpiricalHistogram, cls: ProgressionClass, max_order: int,
@@ -278,13 +297,14 @@ def compare(hist: EmpiricalHistogram, cls: ProgressionClass, max_order: int,
     """Empirical histogram against exactly integrated theoretical masses.
 
     Each kernel's tiles are assembled into mosaics once; then every tile is
-    clipped against every bin rectangle it overlaps, once per (tile, bin)
-    piece.  The piece's area, weighted by the tile's layer, adds to the
-    bin's theoretical mass, and unweighted it adds to its mosaic's coverage
-    of the bin.  Masses are normalized by the captured mass.  The L1
-    distance runs over bins fully inside the support (covered completely by
-    at least one mosaic layer), so the reported gap reflects truncation and
-    finite-Q effects only.
+    cut into its pieces in the bins it overlaps by one integer sweep
+    through the bin columns and, within each column, through its rows
+    (_bin_pieces).  A piece's exact area (one harea Fraction), weighted by
+    the tile's layer, adds to the bin's theoretical mass, and unweighted it
+    adds to its mosaic's coverage of the bin.  Masses are normalized by the
+    captured mass.  The L1 distance runs over bins fully inside the support
+    (covered completely by at least one mosaic layer), so the reported gap
+    reflects truncation and finite-Q effects only.
     """
     if tiles is None:
         tiles = _tiles_for(cls, max_order, kernel_cap)
@@ -294,28 +314,15 @@ def compare(hist: EmpiricalHistogram, cls: ProgressionClass, max_order: int,
     full = [[False] * B for _ in range(B)]
     bin_area = Fraction(1, B * B)
 
-    def bins_overlapping(poly):
-        x0, y0, x1, y1 = poly.bbox()
-        i0 = max(0, int(x0 * B))
-        i1 = min(B - 1, int(x1 * B) if x1 * B != int(x1 * B) else int(x1 * B) - 1)
-        j0 = max(0, int(y0 * B))
-        j1 = min(B - 1, int(y1 * B) if y1 * B != int(y1 * B) else int(y1 * B) - 1)
-        return i0, i1, j0, j1
-
     def integrate(group):
         """Add the group's pieces to theo; return its coverage per bin."""
         cov = {}
         for t in group:
             w = pref * t.multiplicity / t.kernel
-            i0, i1, j0, j1 = bins_overlapping(t.poly)
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    x0, y0, x1, y1 = _bin_rect(i, j, B)
-                    piece = _clip_to_rect(t.poly, x0, y0, x1, y1)
-                    if not piece.is_empty:
-                        a = area(piece)
-                        theo[i][j] += w * a
-                        cov[(i, j)] = cov.get((i, j), Fraction(0)) + a
+            for i, j, piece in _bin_pieces(t.poly, B):
+                a = harea(piece)
+                theo[i][j] += w * a
+                cov[(i, j)] = cov.get((i, j), 0) + a
         return cov
 
     by_kernel = {}
@@ -374,7 +381,7 @@ def support_membership(Q: int, cls: ProgressionClass, max_order: int, *,
     # grid index over [0,1]^2 so each point probes few tiles
     cells = [[[] for _ in range(grid)] for _ in range(grid)]
     for rec, (_hps, poly) in enumerate(forms):
-        x0, dx0, y0, dy0, x1, dx1, y1, dy1 = poly.int_data()[:8]
+        x0, dx0, y0, dy0, x1, dx1, y1, dy1 = poly.int_box()
         i0, i1 = cell(x0, dx0), cell(x1, dx1)
         j0, j1 = cell(y0, dy0), cell(y1, dy1)
         for i in range(i0, i1 + 1):

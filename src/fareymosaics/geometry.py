@@ -5,9 +5,10 @@ every predicate is exact; no floating point enters any geometric decision.
 Rationals serialize as "p/q" ("p" when q = 1), points as ["p/q", "r/s"].
 
 All types are immutable values; every operation is pure and safe to call
-concurrently.  Each polygon lazily memoizes its integer edge forms and its
-bounding box on first use; that write-once cache only ever stores the same
-value, so it is benign under concurrency.
+concurrently.  Each polygon lazily memoizes its integer bounding box on
+first use, and its integer edge forms on the first point location inside
+that box; those write-once caches only ever store the same value, so they
+are benign under concurrency.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ class ConvexPolygon:
     equality and hashing are independent of the rotation handed in.
     """
 
-    __slots__ = ("_verts", "_ints")
+    __slots__ = ("_verts", "_box", "_forms")
 
     def __init__(self, vertices: Iterable = ()):
-        self._ints = None
+        self._box = self._forms = None
         pts = [RatPoint(Fraction(x), Fraction(y)) for (x, y) in vertices]
         if not pts:
             self._verts = ()
@@ -144,7 +145,7 @@ class ConvexPolygon:
         """Polygon from points already known to be strictly convex CCW."""
         poly = cls.__new__(cls)
         poly._verts = _rotated(pts)
-        poly._ints = None
+        poly._box = poly._forms = None
         return poly
 
     @classmethod
@@ -178,24 +179,36 @@ class ConvexPolygon:
                           for p in self._verts)
         return f"ConvexPolygon[{inner}]"
 
-    def int_data(self) -> tuple:
-        """The polygon's integers, computed on first use and kept.
+    def int_box(self) -> tuple:
+        """The bounding box in integers, computed on first use and kept.
 
-        One flat tuple, so that each polygon holds one small object: the
-        bounding box x0, dx0, y0, dy0, x1, dx1, y1, dy1 (each bound a
-        numerator over a positive denominator, x0/dx0 <= x <= x1/dx1 and
-        likewise for y), then a, b, c of each edge form of edge_forms, in
-        order.  The empty polygon gives ().
+        x0, dx0, y0, dy0, x1, dx1, y1, dy1: each bound a numerator over a
+        positive denominator, x0/dx0 <= x <= x1/dx1 and likewise for y.
+        The integers are those of the vertex coordinates themselves.  The
+        empty polygon gives ().
         """
-        data = self._ints
-        if data is None:
-            data = ()
+        box = self._box
+        if box is None:
+            box = ()
             if self._verts:
-                data = tuple(n for v in self.bbox()
-                             for n in (v.numerator, v.denominator))
-                data += _edge_forms(self._verts)
-            self._ints = data
-        return data
+                box = tuple(n for v in self.bbox()
+                            for n in (v.numerator, v.denominator))
+            self._box = box
+        return box
+
+    def int_forms(self) -> tuple:
+        """a, b, c of each edge form of edge_forms, in order and flat;
+        computed on first use and kept.
+
+        Point location reads them, query after query.  Callers that visit
+        each polygon once call edge_forms, which keeps nothing, so polygons
+        that no query lands in carry no forms.
+        """
+        forms = self._forms
+        if forms is None:
+            forms = self._forms = tuple(
+                n for form in _edge_forms(self._verts) for n in form)
+        return forms
 
     def bbox(self):
         xs = [p.x for p in self._verts]
@@ -227,21 +240,28 @@ def edge_forms(poly: ConvexPolygon) -> list:
     """Integer (a, b, c) per edge, counter-clockwise from the first vertex:
     the polygon is the set where a*x + b*y <= c holds for every edge.
 
-    Read from the polygon's memo (int_data); the list is the caller's own.
+    Computed afresh from the vertices; nothing is kept (int_forms is the
+    memo of the same coefficients).
     """
-    data = poly.int_data()
-    return [data[k:k + 3] for k in range(8, len(data), 3)]
+    return _edge_forms(poly.vertices)
 
 
-def _edge_forms(verts) -> tuple:
-    """The edge forms' coefficients, flattened: a0, b0, c0, a1, ..."""
-    n = len(verts)
-    out = ()
+def _edge_forms(verts) -> list:
+    """The edge forms of a CCW vertex cycle, in integers.  With vertices
+    (X1/W1, Y1/W1) and (X2/W2, Y2/W2), W1*W2 times the edge's form is
+    (Y2*W1 - Y1*W2, X1*W2 - X2*W1, X1*Y2 - X2*Y1); dividing by the gcd
+    makes it coprime."""
+    hs = [_to_h(p) for p in verts]
+    n = len(hs)
+    out = []
     for i in range(n):
-        u, v = verts[i], verts[(i + 1) % n]
-        a = v.y - u.y
-        b = u.x - v.x
-        out += int_form(a, b, a * u.x + b * u.y)
+        x1, y1, w1 = hs[i]
+        x2, y2, w2 = hs[(i + 1) % n]
+        a = y2 * w1 - y1 * w2
+        b = x1 * w2 - x2 * w1
+        c = x1 * y2 - x2 * y1
+        g = gcd(a, b, c)
+        out.append((a // g, b // g, c // g))
     return out
 
 
@@ -319,8 +339,10 @@ def _locate_convex(poly: ConvexPolygon, p: RatPoint) -> Location:
     if not verts:
         return Location(Incidence.OUTSIDE)
     x, y, w = _to_h(p)
+    forms = poly.int_forms()
     on_edges = []
-    for i, (a, b, c) in enumerate(edge_forms(poly)):
+    for i in range(len(verts)):
+        a, b, c = forms[3 * i:3 * i + 3]
         s = a * x + b * y - c * w
         if s > 0:
             return Location(Incidence.OUTSIDE)
@@ -427,14 +449,14 @@ def locate(region: Union[ConvexPolygon, Outline], p: RatPoint) -> Location:
 
 def boxes_overlap(d, e) -> bool:
     """Whether the open bounding boxes of two nonempty polygons meet, read
-    from their int_data() tuples d and e by cross-multiplying the bounds."""
+    from their int_box() tuples d and e by cross-multiplying the bounds."""
     return (e[0] * d[5] < d[4] * e[1] and d[0] * e[5] < e[4] * d[1] and
             e[2] * d[7] < d[6] * e[3] and d[2] * e[7] < e[6] * d[3])
 
 
 def _check_interior_disjoint(tiles: Sequence[ConvexPolygon]):
     hs = [t.to_h() for t in tiles]
-    data = [t.int_data() for t in tiles]
+    data = [t.int_box() for t in tiles]
     for i in range(len(tiles)):
         d = data[i]
         for j in range(i + 1, len(tiles)):

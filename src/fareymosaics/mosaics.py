@@ -148,7 +148,7 @@ def assemble_with_orphans(tiles, kernel: int):
         return [], []
     polys = [t.poly for t in tiles]
     tile_hs = [p.to_h() for p in polys]
-    boxes = [p.int_data() for p in polys]
+    boxes = [p.int_box() for p in polys]
     # each tile's edge-adjacent tiles of neighbouring order
     neighbours = [set() for _ in tiles]
     for i, j in shared_edge_pairs(polys):

@@ -74,7 +74,7 @@ def residue_trace(k: IndexTuple, c: int, e: int, d: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissibleResidues:
     """Starting residues e whose chains realize pattern r for tuple k."""
 

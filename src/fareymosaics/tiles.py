@@ -16,7 +16,8 @@ the requested kernel bound (successive kernels satisfy
 p_{j+1} >= p_j - p_{j-1} ... with maximal descent rate p_j per step, the
 all-(1,2,2,...) corridor).  Enumeration is always bounded by an explicit
 max_order and a node budget; there is no implicit infinite iteration.
-DFS subtrees are independent, and results are sorted by k before return.
+The walk is in pre-order with children in increasing next index, so tiles
+come out sorted by k as they are built.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Region:
         return len(self.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tile:
     """Image of a region under the choice map, with its modular data."""
 
@@ -239,17 +240,63 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
         else:
             live0.append((e, c, e))
 
-    raw = []   # (k, M, hpoly, L_n) for emitted tiles
-    if root_m and (kernel_filter is None or kernel_filter == 1):
-        raw.append(((), tuple(root_m), _T_H, (0, 1)))
+    # Neighbouring tiles meet at vertices, coordinates and residue sets
+    # repeat, and all tiles of one order have one pattern; equal ones are
+    # built once and shared, which keeps a large enumeration far smaller in
+    # memory.
+    out = []
+    points = {}
+    coords = {}
+    residue_sets = {}
+    patterns = {}
 
+    def coord(num, den):
+        g = gcd(num, den)
+        key = (num // g, den // g)
+        f = coords.get(key)
+        if f is None:
+            f = coords[key] = Fraction(*key)
+        return f
+
+    def emit(k, m, hpoly, ln):
+        kern, shift = ln[1], ln[0]
+        verts = []
+        # the image under (x, y) -> (x, kern*y + shift*x), as affine_image
+        for (x, y, w) in hpoly:
+            h = hreduce((x, kern * y + shift * x, w))
+            p = points.get(h)
+            if p is None:
+                hx, hy, hw = h
+                p = points[h] = RatPoint(coord(hx, hw), coord(hy, hw))
+            verts.append(p)
+        n = len(k)
+        pattern = patterns.get(n)
+        if pattern is None:
+            pattern = patterns[n] = (n + 1,)
+        res = AdmissibleResidues(k, pattern, cls,
+                                 residue_sets.setdefault(m, frozenset(m)))
+        out.append(Tile(k, pattern, ConvexPolygon._from_ccw(verts), kern,
+                        res))
+
+    if root_m and (kernel_filter is None or kernel_filter == 1):
+        emit((), tuple(root_m), _T_H, (0, 1))
+
+    # Depth-first in pre-order, children in increasing next index, so tiles
+    # come out sorted by k and each is built when its node is popped.  A
+    # node is (k, region, L_{n-1}, L_n, live residues or None when it is
+    # not descended into, admissible residues or None when it emits no
+    # tile).
     nodes = 1
     stack = []
     if live0 and max_order >= 1:
-        stack.append(((), _T_H, (1, 0), (0, 1), tuple(live0)))
+        stack.append(((), _T_H, (1, 0), (0, 1), tuple(live0), None))
 
     while stack:
-        k, poly, lp, lc, live = stack.pop()
+        k, poly, lp, lc, live, m = stack.pop()
+        if m is not None:
+            emit(k, m, poly, lc)
+        if live is None:
+            continue
         n = len(k)
         # feasible next-index range over the region closure: the ratio
         # (1 + x_{n-1}) / x_n is extremal at vertices
@@ -273,6 +320,7 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
         cap = (k_bound + pn_1) // pn + remaining + prune_slack
         hi = cap if unbounded else min(hi, cap)
         lo = max(lo, 1)
+        children = []
         for kj in range(lo, hi + 1):
             m_here = []
             live2 = []
@@ -293,6 +341,7 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
                 raise BudgetError(
                     f"enumeration exceeded {budget} nodes", nodes=nodes)
             kk = k + (kj,)
+            emitted = None
             if m_here:
                 kern = ln[1]
                 if kern < 1:
@@ -300,33 +349,9 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
                         f"nonpositive kernel {kern} on realizable tuple {kk}")
                 if (kernel_filter == kern) or \
                         (kernel_filter is None and kern <= k_bound):
-                    raw.append((kk, tuple(m_here), child, ln))
-            if descend:
-                stack.append((kk, child, lc, ln, tuple(live2)))
-
-    # Records are popped in increasing k, so each is freed once its tile is
-    # built.  Neighbouring tiles meet at vertices and residue sets repeat;
-    # equal ones are built once and shared, which keeps a large enumeration
-    # far smaller in memory.
-    raw.sort(key=lambda rec: rec[0], reverse=True)
-    out = []
-    points = {}
-    residue_sets = {}
-    while raw:
-        k, m, hpoly, ln = raw.pop()
-        kern, shift = ln[1], ln[0]
-        verts = []
-        # the image under (x, y) -> (x, kern*y + shift*x), as affine_image
-        for (x, y, w) in hpoly:
-            h = hreduce((x, kern * y + shift * x, w))
-            p = points.get(h)
-            if p is None:
-                hx, hy, hw = h
-                p = points[h] = RatPoint(Fraction(hx, hw), Fraction(hy, hw))
-            verts.append(p)
-        pattern = (len(k) + 1,)
-        res = AdmissibleResidues(k, pattern, cls,
-                                 residue_sets.setdefault(m, frozenset(m)))
-        out.append(Tile(k, pattern, ConvexPolygon._from_ccw(verts), kern,
-                        res))
+                    emitted = tuple(m_here)
+            if emitted is not None or descend:
+                children.append((kk, child, lc, ln,
+                                 tuple(live2) if descend else None, emitted))
+        stack.extend(reversed(children))
     return out

@@ -5,16 +5,19 @@ matrix products, Farey sequences from sorting, and first-return tuples from
 raw next-term chains.  Superseded implementations kept as references for
 differential tests live here too."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 from fareymosaics import _intgeom
 from fareymosaics.density import (CompareReport, DensityLayerWeight,
-                                  PointClass, _bin_rect, _clip_to_rect,
-                                  _vertex_angle_fraction, layer_prefactor)
+                                  PointClass, _vertex_angle_fraction,
+                                  layer_prefactor)
 from fareymosaics.errors import OverlapError
-from fareymosaics.geometry import (ConvexPolygon, Incidence, Location,
-                                   Outline, RatPoint, _stitch, area)
+from fareymosaics.geometry import (ConvexPolygon, HalfPlane, Incidence,
+                                   Location, Outline, RatPoint, _stitch, area,
+                                   clip)
 from fareymosaics.mosaics import assemble_with_orphans
 
 
@@ -36,6 +39,57 @@ def halfplane_intersection(constraints):
                    for (a, b, c) in constraints):
                 pts.add((x, y))
     return convex_hull(pts)
+
+
+def heq(u, v):
+    """Exact equality of two homogeneous points."""
+    return u[0] * v[2] == v[0] * u[2] and u[1] * v[2] == v[1] * u[2]
+
+
+def hturn(a, b, c):
+    """Sign of the cross product (b-a) x (c-b); > 0 for a left turn."""
+    # (b-a) and (c-b) in homogeneous form, scaled by positive factors only.
+    ux = b[0] * a[2] - a[0] * b[2]
+    uy = b[1] * a[2] - a[1] * b[2]
+    vx = c[0] * b[2] - b[0] * c[2]
+    vy = c[1] * b[2] - b[1] * c[2]
+    t = ux * vy - uy * vx
+    return (t > 0) - (t < 0)
+
+
+def hcanon(verts):
+    """_intgeom.hclip's clean-up step as first written: drop duplicate and
+    collinear vertices; [] when degenerate.
+
+    Input must be convex and counter-clockwise up to those degeneracies.
+    """
+    n = len(verts)
+    if n == 0:
+        return []
+    out = [verts[0]]
+    for v in verts[1:]:
+        if not heq(out[-1], v):
+            out.append(v)
+    if len(out) > 1 and heq(out[0], out[-1]):
+        out.pop()
+    # Repeatedly remove middles of collinear (or reflex, impossible for
+    # convex input) triples until every remaining corner is a strict turn.
+    changed = True
+    while changed and len(out) >= 3:
+        changed = False
+        i = 0
+        while i < len(out) and len(out) >= 3:
+            a = out[i - 1]
+            b = out[i]
+            c = out[(i + 1) % len(out)]
+            if hturn(a, b, c) <= 0:
+                out.pop(i)
+                changed = True
+            else:
+                i += 1
+    if len(out) < 3:
+        return []
+    return out
 
 
 def convex_hull(points):
@@ -70,13 +124,28 @@ def continuant_matrix(k, j):
 
 
 def farey_bruteforce(Q):
-    """F^Q by sorting all reduced fractions, endpoints included."""
+    """F^Q by sorting all reduced fractions, endpoints included.
+
+    The sort key a*Q*Q // q is exact: distinct members of F^Q differ by at
+    least 1/Q^2, so their keys are strictly increasing in a/q."""
     fr = {(0, 1), (1, 1)}
     for q in range(1, Q + 1):
         for a in range(1, q):
             if math.gcd(a, q) == 1:
                 fr.add((a, q))
-    return sorted(fr, key=lambda t: Fraction(t[0], t[1]))
+    QQ = Q * Q
+    return sorted(fr, key=lambda t: t[0] * QQ // t[1])
+
+
+def tile_list_digest(tiles):
+    """SHA-256 over every tile's k, pattern, vertices, kernel and residues
+    (with the residues' own k, pattern and class), in list order."""
+    h = hashlib.sha256()
+    for t in tiles:
+        r = t.residues
+        h.update(json.dumps([t.to_json(), list(r.k), list(r.pattern),
+                             [r.cls.c, r.cls.d]]).encode())
+    return h.hexdigest()
 
 
 def first_return_tuples(Q, c, d, max_n=40):
@@ -183,53 +252,50 @@ def component_groups(n, adjacency, seed_idx):
     return [g for g in groups.values() if any(i in seed_idx for i in g)]
 
 
-def compare_two_pass(hist, cls, tiles, paper_constant=False):
-    """density.compare as first written: every (tile, bin) piece is clipped
-    once for the bin masses and again, mosaic by mosaic, for coverage."""
+def _bin_rect(i, j, B):
+    return (Fraction(i, B), Fraction(j, B), Fraction(i + 1, B),
+            Fraction(j + 1, B))
+
+
+def _clip_to_rect(poly, x0, y0, x1, y1):
+    """poly clipped to [x0, x1] x [y0, y1] by four Fraction half-plane clips."""
+    out = clip(poly, HalfPlane(1, 0, x1))
+    if out.is_empty:
+        return out
+    out = clip(out, HalfPlane(-1, 0, -x0))
+    if out.is_empty:
+        return out
+    out = clip(out, HalfPlane(0, 1, y1))
+    if out.is_empty:
+        return out
+    return clip(out, HalfPlane(0, -1, -y0))
+
+
+def _bins_overlapping(poly, B):
+    x0, y0, x1, y1 = poly.bbox()
+    i0 = max(0, int(x0 * B))
+    i1 = min(B - 1, int(x1 * B) if x1 * B != int(x1 * B)
+             else int(x1 * B) - 1)
+    j0 = max(0, int(y0 * B))
+    j1 = min(B - 1, int(y1 * B) if y1 * B != int(y1 * B)
+             else int(y1 * B) - 1)
+    return i0, i1, j0, j1
+
+
+def bin_pieces_clip(poly, B):
+    """(i, j, piece) for every nonempty piece of poly in a B x B grid of
+    bins over [0, 1]^2: each bin of the Fraction bounding box clipped on
+    its own by _clip_to_rect."""
+    i0, i1, j0, j1 = _bins_overlapping(poly, B)
+    for i in range(i0, i1 + 1):
+        for j in range(j0, j1 + 1):
+            piece = _clip_to_rect(poly, *_bin_rect(i, j, B))
+            if not piece.is_empty:
+                yield i, j, piece
+
+
+def _report(hist, theo, full):
     B = hist.B
-    pref = layer_prefactor(cls, paper_constant)
-    theo = [[Fraction(0)] * B for _ in range(B)]
-    bin_area = Fraction(1, B * B)
-
-    mosaic_groups = []
-    for kern in sorted(set(t.kernel for t in tiles)):
-        group = [t for t in tiles if t.kernel == kern]
-        ms, _orphans = assemble_with_orphans(group, kern)
-        mosaic_groups.extend(ms)
-
-    def bins_overlapping(poly):
-        x0, y0, x1, y1 = poly.bbox()
-        i0 = max(0, int(x0 * B))
-        i1 = min(B - 1, int(x1 * B) if x1 * B != int(x1 * B)
-                 else int(x1 * B) - 1)
-        j0 = max(0, int(y0 * B))
-        j1 = min(B - 1, int(y1 * B) if y1 * B != int(y1 * B)
-                 else int(y1 * B) - 1)
-        return i0, i1, j0, j1
-
-    def pieces(t):
-        i0, i1, j0, j1 = bins_overlapping(t.poly)
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                piece = _clip_to_rect(t.poly, *_bin_rect(i, j, B))
-                if not piece.is_empty:
-                    yield i, j, area(piece)
-
-    for t in tiles:
-        w = pref * t.multiplicity / t.kernel
-        for i, j, a in pieces(t):
-            theo[i][j] += w * a
-
-    full = [[False] * B for _ in range(B)]
-    for m in mosaic_groups:
-        cov = {}
-        for t in m.tiles:
-            for i, j, a in pieces(t):
-                cov[(i, j)] = cov.get((i, j), Fraction(0)) + a
-        for (i, j), a in cov.items():
-            if a == bin_area:
-                full[i][j] = True
-
     mass = sum(sum(row) for row in theo)
     l1 = 0.0
     max_dev = 0.0
@@ -245,6 +311,70 @@ def compare_two_pass(hist, cls, tiles, paper_constant=False):
             if th > 0:
                 max_dev = max(max_dev, abs(emp / th - 1.0))
     return CompareReport(l1, max_dev, float(mass), nfull, B * B)
+
+
+def compare_clip(hist, cls, tiles, paper_constant=False):
+    """density.compare before its integer sweep: every (tile, bin) piece is
+    cut by four Fraction clips (bin_pieces_clip), once, adding to the bin
+    mass and to its mosaic's coverage."""
+    B = hist.B
+    pref = layer_prefactor(cls, paper_constant)
+    theo = [[Fraction(0)] * B for _ in range(B)]
+    full = [[False] * B for _ in range(B)]
+    bin_area = Fraction(1, B * B)
+
+    def integrate(group):
+        cov = {}
+        for t in group:
+            w = pref * t.multiplicity / t.kernel
+            for i, j, piece in bin_pieces_clip(t.poly, B):
+                a = area(piece)
+                theo[i][j] += w * a
+                cov[(i, j)] = cov.get((i, j), Fraction(0)) + a
+        return cov
+
+    by_kernel = {}
+    for t in tiles:
+        by_kernel.setdefault(t.kernel, []).append(t)
+    for kern in sorted(by_kernel):
+        mosaics, orphans = assemble_with_orphans(by_kernel[kern], kern)
+        for m in mosaics:
+            for (i, j), a in integrate(m.tiles).items():
+                if a == bin_area:
+                    full[i][j] = True
+        integrate(orphans)
+    return _report(hist, theo, full)
+
+
+def compare_two_pass(hist, cls, tiles, paper_constant=False):
+    """density.compare as first written: every (tile, bin) piece is clipped
+    once for the bin masses and again, mosaic by mosaic, for coverage."""
+    B = hist.B
+    pref = layer_prefactor(cls, paper_constant)
+    theo = [[Fraction(0)] * B for _ in range(B)]
+    bin_area = Fraction(1, B * B)
+
+    mosaic_groups = []
+    for kern in sorted(set(t.kernel for t in tiles)):
+        group = [t for t in tiles if t.kernel == kern]
+        ms, _orphans = assemble_with_orphans(group, kern)
+        mosaic_groups.extend(ms)
+
+    for t in tiles:
+        w = pref * t.multiplicity / t.kernel
+        for i, j, piece in bin_pieces_clip(t.poly, B):
+            theo[i][j] += w * area(piece)
+
+    full = [[False] * B for _ in range(B)]
+    for m in mosaic_groups:
+        cov = {}
+        for t in m.tiles:
+            for i, j, piece in bin_pieces_clip(t.poly, B):
+                cov[(i, j)] = cov.get((i, j), Fraction(0)) + area(piece)
+        for (i, j), a in cov.items():
+            if a == bin_area:
+                full[i][j] = True
+    return _report(hist, theo, full)
 
 
 def locate_convex_fraction(poly, p):

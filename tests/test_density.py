@@ -3,12 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import compare_two_pass, g1_eval_scan
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (bin_pieces_clip, compare_clip, compare_two_pass,
+                     g1_eval_scan, random_convex_polygon)
 
+from fareymosaics._intgeom import harea
 from fareymosaics.density import (DensityQuery, EmpiricalHistogram,
-                                  PointClass, compare, empirical_histogram,
-                                  g1_eval, gs_first_term, layer_prefactor,
-                                  support_membership)
+                                  PointClass, _bin_pieces, compare,
+                                  empirical_histogram, g1_eval, gs_first_term,
+                                  layer_prefactor, support_membership)
 from fareymosaics.errors import DomainError
 from fareymosaics.farey import ProgressionClass, farey_filtered
 from fareymosaics.geometry import ConvexPolygon, area
@@ -142,6 +146,24 @@ class TestG1Eval:
         assert kinds == {PointClass.GENERIC, PointClass.ON_EDGE,
                          PointClass.ON_VERTEX, PointClass.OUTSIDE}
 
+    def test_forms_kept_only_where_a_query_lands(self):
+        # every scanned tile keeps its integer box; only the tiles whose box
+        # holds the point keep edge forms, and compare keeps none
+        tiles = enumerate_tiles(CLS15, 10, kernel_cap=60)
+        compare(empirical_histogram(200, CLS15, 8), CLS15, 10, tiles=tiles)
+        assert not any(t.poly._forms for t in tiles)
+        px, py = F(3, 5), F(7, 10)
+        g1_eval(DensityQuery((px, py), CLS15, 10), tiles=tiles)
+
+        def in_box(t):
+            x0, y0, x1, y1 = t.poly.bbox()
+            return x0 <= px <= x1 and y0 <= py <= y1
+
+        kept = [t for t in tiles if t.poly._forms is not None]
+        assert all(t.poly._box for t in tiles)
+        assert kept == [t for t in tiles if in_box(t)]
+        assert 0 < len(kept) < len(tiles) // 4
+
 
 class TestGsFirstTerm:
     def test_s1_reduction_matches_layer_weight(self):
@@ -231,6 +253,66 @@ class TestCompare:
         holed = [t for t in tiles if t.k != (1, 2, 3, 2, 2, 1, 10)]
         assert compare(hist, CLS15, 8, tiles=holed) == \
             compare_two_pass(hist, CLS15, holed)
+
+
+class TestCompareSweep:
+    """compare's integer column/row sweep against the clip-based bodies it
+    replaced: four Fraction clips per (tile, bin) piece, in one pass
+    (compare_clip) and in two (compare_two_pass)."""
+
+    @staticmethod
+    def assert_matches_oracles(hist, cls, tiles):
+        rep = compare(hist, cls, 0, tiles=tiles)
+        assert rep == compare_clip(hist, cls, tiles)
+        assert rep == compare_two_pass(hist, cls, tiles)
+        return rep
+
+    def test_d5_with_and_without_orphan(self):
+        hist = empirical_histogram(300, CLS15, 10)
+        tiles = enumerate_tiles(CLS15, 8, kernel_cap=40)
+        full = self.assert_matches_oracles(hist, CLS15, tiles)
+        # without this kernel-6 tile one later tile of its mosaic is an
+        # orphan: its mass counts, its coverage does not
+        holed = [t for t in tiles if t.k != (1, 2, 3, 2, 2, 1, 10)]
+        assert len(holed) == len(tiles) - 1
+        assert self.assert_matches_oracles(hist, CLS15, holed) != full
+
+    def test_d12(self):
+        cls = ProgressionClass(3, 12)
+        hist = empirical_histogram(400, cls, 12)
+        tiles = enumerate_tiles(cls, 12, kernel_cap=27)
+        rep = self.assert_matches_oracles(hist, cls, tiles)
+        assert rep.full_bins > 0
+
+    @pytest.mark.parametrize("B", [2, 4, 5])
+    def test_tile_vertices_on_bin_lines(self, B):
+        hist = empirical_histogram(200, CLS15, B)
+        tiles = enumerate_tiles(CLS15, 8, kernel_cap=40)
+        on_line = [p for t in tiles for p in t.poly.vertices
+                   if any(0 < v * B < B and (v * B).denominator == 1
+                          for v in p)]
+        assert on_line
+        self.assert_matches_oracles(hist, CLS15, tiles)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), B=st.integers(1, 12),
+           inside=st.booleans())
+    def test_pieces_match_four_clip_oracle(self, seed, B, inside):
+        # denominators that are multiples of B put vertices and edges on
+        # bin lines; polygons reaching out of the unit square keep only
+        # their pieces inside it
+        rng = random.Random(seed)
+        denom = rng.choice((B, 2 * B, 3 * B, 7, 12, 40))
+        poly = random_convex_polygon(rng, denom=denom, span=1,
+                                     nonneg=inside)
+        got = {(i, j): ConvexPolygon.from_h(piece)
+               for i, j, piece in _bin_pieces(poly, B)}
+        want = {(i, j): piece for i, j, piece in bin_pieces_clip(poly, B)}
+        assert got == want
+        areas = [harea(piece) for _, _, piece in _bin_pieces(poly, B)]
+        assert areas == [area(p) for p in got.values()]
+        if inside:
+            assert sum(areas) == area(poly)
 
 
 class TestSupportMembership:

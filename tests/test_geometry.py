@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (boundary_fragments_pairwise, halfplane_intersection,
-                     locate_convex_fraction, point_in_polygon_float,
+                     hcanon, locate_convex_fraction, point_in_polygon_float,
                      random_convex_polygon, union_outline_pairwise)
 
 from fareymosaics import _intgeom
@@ -242,7 +242,7 @@ class TestUnionOutline:
                 x0, y0, x1, y1 = p.bbox()
                 a0, b0, a1, b1 = q.bbox()
                 expected = not (a0 >= x1 or x0 >= a1 or b0 >= y1 or y0 >= b1)
-                assert boxes_overlap(p.int_data(), q.int_data()) == expected
+                assert boxes_overlap(p.int_box(), q.int_box()) == expected
 
     def test_overlap_names_the_oracles_pair(self):
         rng = random.Random(47)
@@ -293,6 +293,36 @@ def _cut(rng, poly, keep):
         assert area(left) + area(right) == area(piece)
         pieces[k:k + 1] = [left, right]
     return [p for p in pieces if rng.random() < keep]
+
+
+class TestHclipProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6),
+           line=st.sampled_from(("vertex", "edge", "any")))
+    def test_result_is_canonical_intersection(self, seed, line):
+        # hclip keeps no clean-up pass: its result must already be what
+        # hcanon leaves, and must be the exact half-plane intersection,
+        # also for lines through a vertex or along an edge
+        rng = random.Random(seed)
+        poly = random_convex_polygon(rng, denom=rng.choice((1, 2, 3, 12)),
+                                     span=2)
+        h = poly.to_h()
+        if line == "vertex":
+            x, y, w = rng.choice(h)
+            a, b = rng.choice([(1, 0), (0, 1), (1, 1), (2, -3), (-1, 4)])
+            a, b, c = a * w, b * w, a * x + b * y
+        elif line == "edge":
+            a, b, c = rng.choice(edge_forms(poly))
+        else:
+            a, b = rng.choice([(1, 0), (0, -1), (3, 2), (-2, 5)])
+            c = rng.randint(-12, 12)
+        if rng.random() < 0.5:
+            a, b, c = -a, -b, -c
+        out = _intgeom.hclip(h, a, b, c)
+        assert out == hcanon(out)
+        want = halfplane_intersection(edge_forms(poly) + [(a, b, c)])
+        want = ConvexPolygon(want) if len(want) >= 3 else EMPTY_POLYGON
+        assert ConvexPolygon([(F(x, w), F(y, w)) for x, y, w in out]) == want
 
 
 class TestUnionOutlineProperties:
@@ -402,7 +432,7 @@ class TestIntegerMemo:
         for _ in range(20):
             poly = random_convex_polygon(rng)
             locate(poly, poly.vertices[0])
-            poly.int_data()
+            poly.int_box()
             fresh = ConvexPolygon(poly.vertices)
             assert poly == fresh and hash(poly) == hash(fresh)
             assert poly.vertices == fresh.vertices
@@ -418,22 +448,24 @@ class TestIntegerMemo:
                 u, v = verts[i], verts[(i + 1) % n]
                 a, b = v.y - u.y, u.x - v.x
                 expected.append(int_form(a, b, a * u.x + b * u.y))
-            first = edge_forms(poly)          # fills the memo
+            first = edge_forms(poly)
             assert first == expected
             first.clear()
             first.append((0, 0, 0))
             assert edge_forms(poly) == expected
-            assert list(poly.int_data()[8:]) == [n for f in expected
-                                                 for n in f]
+            assert poly.int_forms() == tuple(n for f in expected for n in f)
+            assert poly.int_forms() is poly.int_forms()      # kept
 
     def test_memo_box_is_bbox(self):
         rng = random.Random(41)
         for _ in range(20):
             poly = random_convex_polygon(rng)
-            box = poly.int_data()[:8]
+            box = poly.int_box()
             assert tuple(F(n, d) for n, d in zip(box[::2], box[1::2])) == \
                 poly.bbox()
-        assert EMPTY_POLYGON.int_data() == ()
+            assert box is poly.int_box()                    # kept
+        assert EMPTY_POLYGON.int_box() == ()
+        assert EMPTY_POLYGON.int_forms() == ()
         assert edge_forms(EMPTY_POLYGON) == []
 
 

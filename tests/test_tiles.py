@@ -2,7 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import first_return_tuples, halfplane_intersection
+from oracles import (first_return_tuples, halfplane_intersection,
+                     tile_list_digest)
 
 from fareymosaics._intgeom import interiors_intersect
 from fareymosaics.continuants import continuant, index_sequence_real
@@ -267,3 +268,53 @@ class TestEnumerate:
             assert total > F(9, 20)
             shallow = sum(area(r) for t, r in zip(mine, regs) if t.order <= 8)
             assert shallow <= total
+
+
+class TestLeanTileList:
+    """enumerate_tiles output is built from slotted records and shares
+    every repeated value, and it is the same list as before it was."""
+
+    def test_records_have_no_instance_dict(self):
+        tiles = enumerate_tiles(CLS15, 8, kernel_cap=20)
+        assert tiles
+        for t in tiles + [tile((3,), (2,), CLS15)]:
+            assert not hasattr(t, "__dict__")
+            assert not hasattr(t.residues, "__dict__")
+
+    def test_one_pattern_per_order(self):
+        tiles = enumerate_tiles(CLS15, 12, kernel_cap=60)
+        pattern = {}
+        for t in tiles:
+            assert pattern.setdefault(t.order, t.pattern) is t.pattern
+            assert t.residues.pattern is t.pattern
+        assert len(pattern) >= 10
+
+    def test_equal_coordinates_are_one_object(self):
+        for cls in (CLS15, ProgressionClass(3, 12)):
+            tiles = enumerate_tiles(cls, 12, kernel_cap=30)
+            coords = [v for t in tiles for p in t.poly.vertices for v in p]
+            assert len({id(v) for v in coords}) == len(set(coords))
+
+    # digests of the enumerations as they were before the tile list was
+    # slimmed, over (k, pattern, vertices, kernel, residues) of every tile
+    @pytest.mark.parametrize("c, d, max_order, kernel_filter, cap, n, digest", [
+        (1, 5, 14, None, 250, 4418, "232ee0836bc75aa4763a10d97041c271"
+                                    "38c858c30fa3b4c8ca1977e66543e782"),
+        (3, 12, 30, None, 27, 3643, "ae4040709a3e10edac8661cc1de2db33"
+                                    "174696f33c5fdaca59c6b47eacc5b07d"),
+        (3, 12, 38, 27, None, 348, "429e29e1763dc898256863a203cd6cc3"
+                                   "95444d579f87d3b16a9d65bf65ba5ac9"),
+        (2, 7, 14, None, 60, 3787, "1777cb57b662dce87f4b3e6c170b305e"
+                                   "e1a45f8a637c824806380611065b87f4"),
+        (1, 2, 16, None, 120, 121, "156672703bea49da0f17af1a5d52d730"
+                                   "1c82a49f487586e99ffc51806162c7a0"),
+        (5, 6, 14, None, 60, 1274, "557af50201f644f27d118dafce135676"
+                                   "3fe110d3e12db382999f69bea074e6e5"),
+    ])
+    def test_same_tiles_as_before(self, c, d, max_order, kernel_filter, cap,
+                                  n, digest):
+        tiles = enumerate_tiles(ProgressionClass(c, d), max_order,
+                                kernel_filter, kernel_cap=cap,
+                                budget=10 ** 7)
+        assert len(tiles) == n
+        assert tile_list_digest(tiles) == digest
