@@ -12,7 +12,8 @@ from .errors import (AmbiguityError, BudgetError, DomainError,
                      OverlapError, PartnerMissing, RangeError, ShapeError,
                      SizeError)
 from .farey import (FareyFraction, ProgressionClass, TupleType, choice_map,
-                    consecutive_tuples, farey_filtered, farey_stream)
+                    consecutive_tuples, farey_filtered, farey_stream,
+                    member_pairs)
 from .geometry import (ConvexPolygon, HalfPlane, Incidence, Location,
                        Outline, Rational, RatPoint, affine_image, area, clip,
                        locate, parse_rational, rational_str, union_outline)

@@ -11,8 +11,10 @@ Theoretical bin masses are integrated exactly, never by sampling, so
 comparisons carry no Monte-Carlo noise: each tile is swept through the bin
 columns and then each column through its rows by integer half-plane clips
 on homogeneous vertices, and each piece's area is one exact Fraction.
-Empirical histograms are single-pass folds over the Farey stream with O(1)
-state beyond the grid.
+Empirical histograms and support checks read the consecutive class-member
+pairs from one denominator-only integer walk (farey.member_pairs) with O(1)
+state beyond the grid; histograms walk only to 1/2 and add each pair's
+mirror, since F^Q is symmetric about 1/2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .continuants import index_sequence_real
 from .errors import DomainError
-from .farey import ProgressionClass, TupleType, farey_filtered
+from .farey import ProgressionClass, TupleType, member_pairs
 from ._intgeom import harea, hclip
 # clip stays importable here: the benchmark's traced run rebinds density.clip
 from .geometry import (Incidence, RatPoint, _to_h, area, clip,  # noqa: F401
@@ -226,21 +228,29 @@ class EmpiricalHistogram:
 
 
 def empirical_histogram(Q: int, cls: ProgressionClass, B: int) -> EmpiricalHistogram:
-    """Bin (q0/Q, q1/Q) for all consecutive pairs of F^Q(c,d)."""
+    """Bin (q0/Q, q1/Q) for all consecutive pairs of F^Q(c,d).
+
+    Only the pairs up to 1/2 are walked (member_pairs with to_half): each
+    stands for itself in bins[i][j] and for its mirror pair (q1, q0) right
+    of 1/2 in bins[j][i].  When 1/2 is not a member, the last pair walked,
+    (q, q), straddles 1/2 and is its own mirror, so it counts once.
+    """
     if Q < cls.d:
         raise DomainError("Q must be >= d")
     if B < 1:
         raise DomainError("B must be >= 1")
-    bins = [[0] * B for _ in range(B)]
-    total = 0
-    prev = None
-    for f in farey_filtered(Q, cls):
-        if prev is not None:
-            i = min(prev * B // Q, B - 1)
-            j = min(f.q * B // Q, B - 1)
-            bins[i][j] += 1
-            total += 1
-        prev = f.q
+    col = [min(q * B // Q, B - 1) for q in range(Q + 1)]
+    left = [[0] * B for _ in range(B)]      # counts of the pairs walked
+    row = [left[i] for i in col]
+    for q0, q1 in member_pairs(Q, cls, to_half=True):
+        row[q0][col[q1]] += 1
+    bins = [[a + b for a, b in zip(r, c)] for r, c in zip(left, zip(*left))]
+    total = 2 * sum(map(sum, left))
+    if 2 % cls.d != cls.c % cls.d:
+        # Q >= d puts a member before 1/2, so the straddling pair exists
+        i = col[q0]
+        bins[i][i] -= 1
+        total -= 1
     return EmpiricalHistogram(Q, cls, bins, total)
 
 
@@ -357,60 +367,61 @@ def support_membership(Q: int, cls: ProgressionClass, max_order: int, *,
                        kernel_cap: int = DENSITY_KERNEL_CAP,
                        tiles=None, support_polygons=None,
                        grid: int = 64) -> list:
-    """Scaled consecutive pairs outside the closed support, with their
-    (float) distances to the nearest support polygon.
+    """Scaled consecutive pairs (q0, q1) outside the closed support, each
+    as (q0, q1, distance): the float distance from (q0/Q, q1/Q) to the
+    nearest vertex of a support polygon.
 
     The default support is the closed union of all enumerated tiles, which
     is exact for classes whose mosaics are finite within max_order.  When a
     mosaic is infinite (so any truncation leaves notches at its accumulation
     corners), pass support_polygons: the known limit outlines (convex
     polygons) to test against instead.
+
+    The pairs come from member_pairs walked to 1/1.  Each is tested, by
+    integer signs, against the polygons whose boxes meet its grid cell,
+    largest polygon first.
     """
     if support_polygons is None:
         if tiles is None:
             tiles = _tiles_for(cls, max_order, kernel_cap)
         support_polygons = [t.poly for t in
-                            sorted(tiles, key=lambda t: -area(t.poly))]
-    # (q0, q1) is in a polygon at scale Q iff a*q0 + b*q1 <= c*Q for every
-    # edge form (a, b, c)
-    forms = [(edge_forms(p), p) for p in support_polygons]
+                            sorted(tiles, key=lambda t: -harea(t.poly.to_h()))]
 
     def cell(num, den):
         return max(0, min(grid - 1, num * grid // den))
 
-    # grid index over [0,1]^2 so each point probes few tiles
+    # grid index over [0,1]^2 so each point probes few polygons; (q0, q1)
+    # is in a polygon at scale Q iff a*q0 + b*q1 <= c*Q for every edge form
+    # (a, b, c), and each cell lists those forms with c*Q precomputed
     cells = [[[] for _ in range(grid)] for _ in range(grid)]
-    for rec, (_hps, poly) in enumerate(forms):
+    for poly in support_polygons:
+        hps = [(a, b, c * Q) for (a, b, c) in edge_forms(poly)]
         x0, dx0, y0, dy0, x1, dx1, y1, dy1 = poly.int_box()
         i0, i1 = cell(x0, dx0), cell(x1, dx1)
         j0, j1 = cell(y0, dy0), cell(y1, dy1)
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
-                cells[i][j].append(rec)
+                cells[i][j].append(hps)
+    col = [cell(q, Q) for q in range(Q + 1)]
+    row = [cells[i] for i in col]
     violations = []
-    prev = None
-    for f in farey_filtered(Q, cls):
-        if prev is not None:
-            q0, q1 = prev, f.q
-            ci = min(q0 * grid // Q, grid - 1)
-            cj = min(q1 * grid // Q, grid - 1)
-            inside = False
-            for rec in cells[ci][cj]:
-                hps = forms[rec][0]
-                if all(a * q0 + b * q1 <= c * Q for (a, b, c) in hps):
-                    inside = True
-                    break
-            if not inside:
-                violations.append(
-                    (q0, q1, _distance_to_tiles(q0, q1, Q, forms)))
-        prev = f.q
+    for q0, q1 in member_pairs(Q, cls):
+        for hps in row[q0][col[q1]]:
+            for a, b, cQ in hps:
+                if a * q0 + b * q1 > cQ:
+                    break           # outside this polygon
+            else:
+                break               # inside this polygon
+        else:                       # inside none
+            violations.append(
+                (q0, q1, _distance_to_vertices(q0, q1, Q, support_polygons)))
     return violations
 
 
-def _distance_to_tiles(q0, q1, Q, forms) -> float:
+def _distance_to_vertices(q0, q1, Q, polygons) -> float:
     px, py = q0 / Q, q1 / Q
     best = float("inf")
-    for _hps, poly in forms:
+    for poly in polygons:
         for v in poly.vertices:
             dx = px - float(v.x)
             dy = py - float(v.y)

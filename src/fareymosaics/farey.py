@@ -4,6 +4,13 @@ Streams are pull-based generators with O(1) state, so large-Q empirical runs
 never hold a sequence in memory.  F^Q includes both endpoints 0/1 and 1/1.
 Streams are single-consumer iterators; independent streams are safe on
 different threads.
+
+F^Q is invariant under x -> 1 - x, which keeps denominators, so its
+denominator sequence is a palindrome centred at 1/2 (a member of F^Q once
+Q >= 2).  The consecutive class-member pairs (q, q') right of 1/2 are
+therefore the reversed pairs (q', q) left of it; when 1/2 is not a member,
+the one pair that straddles it is (q, q) for the last member q before it.
+member_pairs(..., to_half=True) walks only the left half on that account.
 """
 
 from __future__ import annotations
@@ -60,6 +67,40 @@ def farey_filtered(Q: int, cls: ProgressionClass) -> Iterator[FareyFraction]:
     for f in farey_stream(Q):
         if f.q % cls.d == c:
             yield f
+
+
+def member_pairs(Q: int, cls: ProgressionClass,
+                 to_half: bool = False) -> Iterator[tuple]:
+    """Denominator pairs (q, q') of consecutive F^Q(c,d) members, from 0/1.
+
+    One integer walk (q0, q1) -> (q1, floor((Q + q0)/q1)*q1 - q0) over the
+    denominators of F^Q: no fractions, no numerators.  It stops at 1/1, or
+    with to_half (Q >= 2) at 1/2, the only fraction of denominator 2: the
+    pairs yielded are then those whose first member lies before 1/2, the
+    last of them being the pair that ends at 1/2, or, when 1/2 is not a
+    member, the pair (q, q) that straddles it (see the module docstring).
+    """
+    if Q < 1:
+        raise DomainError(f"Q must be >= 1, got {Q}")
+    if to_half and Q < 2:
+        raise DomainError(f"F^{Q} has no 1/2")
+    d = cls.d
+    c = cls.c % d
+    stop = 2 if to_half else 1
+    prev = 1 if 1 % d == c else None        # 0/1
+    q0, q1 = 1, Q
+    while q1 != stop:
+        if q1 % d == c:
+            if prev is not None:
+                yield prev, q1
+            prev = q1
+        k = (Q + q0) // q1
+        q0, q1 = q1, k * q1 - q0
+    if prev is not None:
+        if stop % d == c:
+            yield prev, stop
+        elif to_half:
+            yield prev, prev
 
 
 def consecutive_tuples(Q: int, cls: ProgressionClass, s: int):

@@ -12,12 +12,13 @@ from fractions import Fraction
 
 from fareymosaics import _intgeom
 from fareymosaics.density import (CompareReport, DensityLayerWeight,
-                                  PointClass, _vertex_angle_fraction,
-                                  layer_prefactor)
-from fareymosaics.errors import OverlapError
+                                  EmpiricalHistogram, PointClass,
+                                  _vertex_angle_fraction, layer_prefactor)
+from fareymosaics.errors import DomainError, OverlapError
+from fareymosaics.farey import ProgressionClass, farey_filtered, farey_stream
 from fareymosaics.geometry import (ConvexPolygon, HalfPlane, Incidence,
                                    Location, Outline, RatPoint, _stitch, area,
-                                   clip)
+                                   clip, edge_forms)
 from fareymosaics.mosaics import assemble_with_orphans
 
 
@@ -409,18 +410,18 @@ def locate_convex_fraction(poly, p):
     return Location(Incidence.INTERIOR)
 
 
-def g1_eval_scan(query, tiles, paper_constant=False):
-    """density.g1_eval as first written: every tile's Fraction bbox() is
-    rebuilt per query and hits are classified by locate_convex_fraction."""
+def g1_eval_scan(query, tiles, boxes, paper_constant=False):
+    """density.g1_eval as first written: every tile's Fraction bbox()
+    screens the point, and hits are classified by locate_convex_fraction.
+    boxes holds those bboxes in tile order, built once per tile list."""
     pref = layer_prefactor(query.cls, paper_constant)
     p = RatPoint(query.point[0], query.point[1])
     total = Fraction(0)
     angle_part = 0.0
     seen = set()
-    for t in tiles:
+    for t, (x0, y0, x1, y1) in zip(tiles, boxes):
         if t.order > query.max_order:
             continue
-        x0, y0, x1, y1 = t.poly.bbox()
         if not (x0 <= p.x <= x1 and y0 <= p.y <= y1):
             continue
         loc = locate_convex_fraction(t.poly, p)
@@ -440,6 +441,82 @@ def g1_eval_scan(query, tiles, paper_constant=False):
     if Incidence.INTERIOR in seen:
         return value, PointClass.GENERIC
     return 0.0, PointClass.OUTSIDE
+
+
+def empirical_histograms_stream(Q, d, Bs):
+    """density.empirical_histogram as first written, for every class of
+    modulus d and every grid size B in Bs at once: one fold over
+    farey_stream to 1/1 that sends each fraction to its class by q mod d
+    and bins each class's pairs as they come.  Returns {(c, B): histogram}.
+    """
+    Bs = sorted(set(Bs))
+    if Q < d:
+        raise DomainError("Q must be >= d")
+    if Bs[0] < 1:
+        raise DomainError("B must be >= 1")
+    bins = {(c, B): [[0] * B for _ in range(B)] for c in range(d) for B in Bs}
+    total = [0] * d
+    prev = [None] * d
+    for f in farey_stream(Q):
+        c = f.q % d
+        if prev[c] is not None:
+            for B in Bs:
+                i = min(prev[c] * B // Q, B - 1)
+                j = min(f.q * B // Q, B - 1)
+                bins[(c, B)][i][j] += 1
+            total[c] += 1
+        prev[c] = f.q
+    return {(c, B): EmpiricalHistogram(Q, ProgressionClass(c, d), g, total[c])
+            for (c, B), g in bins.items()}
+
+
+def support_membership_stream(Q, cls, tiles=None, support_polygons=None,
+                              grid=64):
+    """density.support_membership as first written, with its distance
+    helper inlined: one fold over farey_filtered, polygons in decreasing
+    Fraction area(), each cell probed with all() over its polygons' edge
+    forms, and violations with the float distance to the nearest polygon
+    vertex."""
+    if support_polygons is None:
+        support_polygons = [t.poly for t in
+                            sorted(tiles, key=lambda t: -area(t.poly))]
+    forms = [(edge_forms(p), p) for p in support_polygons]
+
+    def cell(num, den):
+        return max(0, min(grid - 1, num * grid // den))
+
+    cells = [[[] for _ in range(grid)] for _ in range(grid)]
+    for rec, (_hps, poly) in enumerate(forms):
+        x0, dx0, y0, dy0, x1, dx1, y1, dy1 = poly.int_box()
+        i0, i1 = cell(x0, dx0), cell(x1, dx1)
+        j0, j1 = cell(y0, dy0), cell(y1, dy1)
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                cells[i][j].append(rec)
+    violations = []
+    prev = None
+    for f in farey_filtered(Q, cls):
+        if prev is not None:
+            q0, q1 = prev, f.q
+            ci = min(q0 * grid // Q, grid - 1)
+            cj = min(q1 * grid // Q, grid - 1)
+            inside = False
+            for rec in cells[ci][cj]:
+                hps = forms[rec][0]
+                if all(a * q0 + b * q1 <= c * Q for (a, b, c) in hps):
+                    inside = True
+                    break
+            if not inside:
+                px, py = q0 / Q, q1 / Q
+                best = float("inf")
+                for _hps, poly in forms:
+                    for v in poly.vertices:
+                        dd = math.hypot(px - float(v.x), py - float(v.y))
+                        if dd < best:
+                            best = dd
+                violations.append((q0, q1, best))
+        prev = f.q
+    return violations
 
 
 def union_outline_pairwise(tiles):

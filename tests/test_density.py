@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (bin_pieces_clip, compare_clip, compare_two_pass,
-                     g1_eval_scan, random_convex_polygon)
+                     empirical_histograms_stream, g1_eval_scan,
+                     random_convex_polygon, support_membership_stream)
 
 from fareymosaics._intgeom import harea
 from fareymosaics.density import (DensityQuery, EmpiricalHistogram,
@@ -138,10 +139,11 @@ class TestG1Eval:
         pts += [(F(rng.randint(0, 1009), 1009), F(rng.randint(0, 1013), 1013))
                 for _ in range(200)]
         kinds = set()
+        boxes = [t.poly.bbox() for t in tiles]
         for pt in pts:
             q = DensityQuery(pt, CLS15, 10)
             got = g1_eval(q, tiles=tiles)
-            assert got == g1_eval_scan(q, tiles), pt
+            assert got == g1_eval_scan(q, tiles, boxes), pt
             kinds.add(got[1])
         assert kinds == {PointClass.GENERIC, PointClass.ON_EDGE,
                          PointClass.ON_VERTEX, PointClass.OUTSIDE}
@@ -216,8 +218,24 @@ class TestEmpiricalHistogram:
         assert again == hist
 
     def test_requires_q_at_least_d(self):
-        with pytest.raises(DomainError):
-            empirical_histogram(3, CLS15, 4)
+        for Q, cls in ((3, CLS15), (20, ProgressionClass(1, 50))):
+            with pytest.raises(DomainError):
+                empirical_histogram(Q, cls, 4)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_mirror_half_matches_stream_fold(self, d):
+        # both branches run: 1/2 is a member when 2 = c (mod d); otherwise
+        # one pair straddles 1/2
+        for Q in [*range(d, 81), 97, 200, 601]:
+            Bs = (1, 3, 7, 40, Q + 5)
+            want = empirical_histograms_stream(Q, d, Bs)
+            for c in range(d):
+                cls = ProgressionClass(c, d)
+                for B in Bs:
+                    got = empirical_histogram(Q, cls, B)
+                    w = want[(c, B)]
+                    assert (got.bins, got.total) == (w.bins, w.total), \
+                        (c, d, Q, B)
 
 
 class TestCompare:
@@ -328,9 +346,17 @@ class TestSupportMembership:
         assert got == []
 
     def test_q_below_d_empty(self):
-        cls = ProgressionClass(1, 50)
-        with pytest.raises(DomainError):
-            empirical_histogram(20, cls, 4)
+        # Q < d does not raise: with no members, or one, there is no pair
+        for c in (2, 4):
+            assert support_membership(3, ProgressionClass(c, 5), 12,
+                                      kernel_cap=120) == []
+
+    def test_q_below_d_pins_violation(self):
+        # F^3(1,5) = 0/1, 1/1: the one pair (1, 1) sits at (1/3, 1/3),
+        # outside the triangle x + y >= 1, nearest to its vertex (0, 1)
+        tri = ConvexPolygon([(1, 0), (1, 1), (0, 1)])
+        got = support_membership(3, CLS15, 12, support_polygons=[tri])
+        assert got == [(1, 1, math.hypot(1 / 3, 1 / 3 - 1))]
 
     def test_d2_classes(self):
         # the odd class has a finite two-tile base mosaic, so the tile
@@ -342,3 +368,36 @@ class TestSupportMembership:
         frame = ConvexPolygon([(1, 1), (0, 1), (F(1, 3), F(1, 3)), (1, 0)])
         assert support_membership(1000, ProgressionClass(0, 2), 14,
                                   support_polygons=[frame]) == []
+
+    def test_matches_stream_fold(self):
+        hexagon = ConvexPolygon([(1, 1), (0, 1), (F(1, 13), F(5, 13)),
+                                 (F(1, 5), F(1, 5)), (F(5, 13), F(1, 13)),
+                                 (1, 0)])
+        frame = ConvexPolygon([(1, 1), (0, 1), (F(1, 3), F(1, 3)), (1, 0)])
+        tiles15 = enumerate_tiles(CLS15, 12, kernel_cap=120)
+        tiles12 = enumerate_tiles(ProgressionClass(1, 2), 14, kernel_cap=120)
+        cases = [(300, CLS15, {"tiles": tiles15}),
+                 (300, ProgressionClass(3, 12),
+                  {"support_polygons": [hexagon]}),
+                 (1000, ProgressionClass(1, 2), {"tiles": tiles12}),
+                 (1000, CLS02, {"support_polygons": [frame]})]
+        for Q, cls, kw in cases:
+            assert support_membership(Q, cls, 12, **kw) == \
+                support_membership_stream(Q, cls, **kw) == []
+
+    def test_violations_match_stream_fold(self):
+        # supports too small to hold every point: the violation lists are
+        # compared exactly, order and float distances included
+        square = ConvexPolygon([(F(1, 2), F(1, 2)), (1, F(1, 2)), (1, 1),
+                                (F(1, 2), 1)])
+        strip = ConvexPolygon([(F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)),
+                               (1, F(1, 3)), (1, 1), (F(1, 3), 1)])
+        tiles = enumerate_tiles(CLS15, 4, kernel_cap=20)
+        cases = [(200, CLS15, {"tiles": tiles}),
+                 (150, ProgressionClass(3, 12),
+                  {"support_polygons": [square, strip]}),
+                 (120, CLS02, {"support_polygons": [square]})]
+        for Q, cls, kw in cases:
+            got = support_membership(Q, cls, 4, **kw)
+            assert got, (Q, cls)
+            assert got == support_membership_stream(Q, cls, **kw)

@@ -6,7 +6,11 @@ from oracles import farey_bruteforce
 from fareymosaics.errors import DomainError
 from fareymosaics.farey import (ProgressionClass, choice_map,
                                 consecutive_tuples, farey_filtered,
-                                farey_stream)
+                                farey_stream, member_pairs)
+from fareymosaics.progression import exact_cardinality
+
+ALL_CLASSES_D12 = [ProgressionClass(c, d) for d in range(2, 13)
+                   for c in range(d)]
 
 
 class TestFareyStream:
@@ -79,6 +83,58 @@ class TestFiltered:
         got = [f for f in farey_filtered(40, cls)]
         want = [f for f in farey_stream(40) if f.q % 7 == 2]
         assert got == want
+
+
+class TestMemberPairs:
+    def test_matches_filtered_stream(self):
+        # to 1/1: every consecutive pair of class members; to 1/2: those
+        # whose first member lies before 1/2
+        for cls in ALL_CLASSES_D12:
+            for Q in range(1, 61):
+                fs = list(farey_filtered(Q, cls))
+                qs = [f.q for f in fs]
+                assert list(member_pairs(Q, cls)) == list(zip(qs, qs[1:])), \
+                    (cls, Q)
+                if Q >= 2:
+                    left = [(f.q, g.q) for f, g in zip(fs, fs[1:])
+                            if 2 * f.a < f.q]
+                    assert list(member_pairs(Q, cls, to_half=True)) == left, \
+                        (cls, Q)
+
+    def test_mirror_half_rebuilds_whole_walk(self):
+        # the pairs right of 1/2 are the left pairs reversed and mirrored;
+        # when 1/2 is no member, the last left pair (q, q) straddles it
+        for cls in ALL_CLASSES_D12:
+            for Q in range(2, 61):
+                half = list(member_pairs(Q, cls, to_half=True))
+                mid = []
+                if 2 % cls.d != cls.c and half:
+                    half, mid = half[:-1], half[-1:]
+                    assert mid[0][0] == mid[0][1]
+                mirror = [(b, a) for a, b in reversed(half)]
+                assert list(member_pairs(Q, cls)) == half + mid + mirror, \
+                    (cls, Q)
+
+    def test_count_matches_totient_sieve(self):
+        for cls in ALL_CLASSES_D12:
+            for Q in (1, cls.d - 1, cls.d, 37, 60, 251):
+                if Q < 1:
+                    continue
+                n = sum(1 for _ in member_pairs(Q, cls))
+                assert n == max(exact_cardinality(Q, cls) - 1, 0), (cls, Q)
+
+    def test_q_must_be_positive(self):
+        for Q in (0, -3):
+            with pytest.raises(DomainError):
+                list(member_pairs(Q, ProgressionClass(1, 5)))
+        with pytest.raises(DomainError):        # F^1 has no 1/2
+            list(member_pairs(1, ProgressionClass(1, 5), to_half=True))
+
+    def test_q1(self):
+        # F^1 = 0/1, 1/1: one pair (1, 1) for the classes holding 1
+        for cls in ALL_CLASSES_D12:
+            want = [(1, 1)] if cls.c == 1 else []
+            assert list(member_pairs(1, cls)) == want
 
 
 class TestConsecutiveTuples:
