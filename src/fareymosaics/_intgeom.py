@@ -1,12 +1,14 @@
-"""Homogeneous-integer convex polygon kernel.
+"""Homogeneous-integer convex polygon kernel: the one storage format of
+every polygon in the package.
 
-Vertices are integer triples (X, Y, W) with W > 0 representing the exact
-rational point (X/W, Y/W).  Everything here is pure integer arithmetic, so
-the hot enumeration and integration loops never touch Fraction objects; only
-harea, the exact area, hands back one Fraction per polygon.  A polygon is a
-list of triples in counter-clockwise order with no repeated and no three
-consecutive collinear vertices (canonical); the empty list is the empty
-polygon.
+A point is an integer triple (X, Y, W) with W > 0 standing for the exact
+rational point (X/W, Y/W); it is reduced when gcd(X, Y, W) = 1, and reduced
+triples are canonical, so equal points are equal tuples.  A polygon is a
+sequence of reduced triples in counter-clockwise order with no repeated and
+no three consecutive collinear vertices (canonical); the empty sequence is
+the empty polygon.  geometry.ConvexPolygon stores exactly such a tuple.
+Everything here is pure integer arithmetic; only harea, the exact area,
+hands back one Fraction per polygon.
 """
 
 from fractions import Fraction
@@ -22,22 +24,45 @@ def hreduce(v):
     return v
 
 
+def hcross(a, b, c):
+    """W_a*W_b*W_c times the cross product (b - a) x (c - a), the
+    determinant of the three triples: > 0 when a, b, c turn left, 0 when
+    they are collinear."""
+    (xa, ya, wa), (xb, yb, wb), (xc, yc, wc) = a, b, c
+    return (xa * (yb * wc - yc * wb) - ya * (xb * wc - xc * wb)
+            + wa * (xb * yc - xc * yb))
+
+
+def hedge_form(u, v):
+    """Coprime integer (a, b, c) of the edge from vertex u to vertex v of a
+    CCW polygon: the polygon lies in a*x + b*y <= c.  W_u*W_v times that
+    edge's form is
+    (Y_v*W_u - Y_u*W_v, X_u*W_v - X_v*W_u, X_u*Y_v - X_v*Y_u)."""
+    x1, y1, w1 = u
+    x2, y2, w2 = v
+    a = y2 * w1 - y1 * w2
+    b = x1 * w2 - x2 * w1
+    c = x1 * y2 - x2 * y1
+    g = gcd(a, b, c)
+    return a // g, b // g, c // g
+
+
 def hclip(verts, a, b, c):
     """Clip a canonical convex CCW polygon against the half-plane
     a*x + b*y <= c (integer coefficients).
 
-    Returns a canonical convex CCW polygon ([] when the intersection has
-    zero area).  A line meets the boundary of a strictly convex polygon in
-    at most two points, and a crossing lies strictly inside its edge, so
-    the kept vertices and crossings repeat no point and put no three in a
-    row; three or more of them always enclose area.
+    Returns a canonical convex CCW polygon as a list ([] when the
+    intersection has zero area).  A line meets the boundary of a strictly
+    convex polygon in at most two points, and a crossing lies strictly
+    inside its edge, so the kept vertices and crossings repeat no point and
+    put no three in a row; three or more of them always enclose area.
     """
     n = len(verts)
     if n == 0:
         return []
     sides = [a * x + b * y - c * w for (x, y, w) in verts]
     if all(s <= 0 for s in sides):
-        return verts
+        return list(verts)
     out = []
     for i in range(n):
         s1 = sides[i]
@@ -58,7 +83,8 @@ def hclip(verts, a, b, c):
 
 
 def harea(verts):
-    """Exact area of a CCW polygon as one Fraction (0 for the empty one).
+    """Exact signed area of a closed loop of triples as one Fraction:
+    positive when counter-clockwise, 0 for the empty loop.
 
     Every vertex is brought to the common denominator L = lcm of the W
     values, so the shoelace sum runs over integers and is divided once, by
@@ -78,12 +104,7 @@ def hintersect(pa, pb):
     for i in range(n):
         if not cur:
             return []
-        x1, y1, w1 = pb[i]
-        x2, y2, w2 = pb[(i + 1) % n]
-        dx = x2 * w1 - x1 * w2
-        dy = y2 * w1 - y1 * w2
-        # inside of edge: dy*x - dx*y <= dy*(x1/w1) - dx*(y1/w1), scaled by w1
-        cur = hclip(cur, dy * w1, -dx * w1, dy * x1 - dx * y1)
+        cur = hclip(cur, *hedge_form(pb[i], pb[(i + 1) % n]))
     return cur
 
 

@@ -26,8 +26,9 @@ from .farey import (ProgressionClass, consecutive_tuples, farey_filtered,
                     farey_stream)
 from .geometry import ConvexPolygon, area, parse_rational, point_from_json
 from .mosaics import adjacency_tree, assemble_with_orphans, table
-from .progression import (exact_cardinality, lattice_count_exact,
-                          lattice_main_term, predicted_cardinality)
+from .progression import (_diameter, exact_cardinality,
+                          lattice_count_exact, lattice_main_term,
+                          predicted_cardinality)
 from .render import RenderSpec, emit_table, render_mosaic, render_tree
 from .tiles import DEFAULT_BUDGET, enumerate_tiles
 
@@ -174,17 +175,6 @@ def cmd_verify_cardinality(args) -> int:
     return EXIT_OK
 
 
-def _poly_diameter(poly) -> float:
-    verts = poly.vertices
-    best = 0.0
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            dx = float(verts[i].x - verts[j].x)
-            dy = float(verts[i].y - verts[j].y)
-            best = max(best, math.hypot(dx, dy))
-    return best
-
-
 def _random_convex_polygon(rng, nmax=8):
     # convex hull of a few random rational points in the unit square
     pts = {(Fraction(rng.randint(0, 1000), 1000),
@@ -231,7 +221,7 @@ def cmd_verify_lattice(args) -> int:
             b = rng.randint(0, d - 1)
             if math.gcd(a, b, d) != 1:
                 continue
-            diam = _poly_diameter(poly)
+            diam = math.hypot(*map(float, _diameter(poly)))
             hi = max(31, int(args.r_max / max(diam, 1e-9)))
             scale = rng.randint(30, hi)
             cases.append((poly, scale, a, b, d))
@@ -242,7 +232,7 @@ def cmd_verify_lattice(args) -> int:
         exact = lattice_count_exact(poly, scale, a, b, d,
                                     max_extent=args.r_max + 1)
         main = lattice_main_term(area(poly), scale, d)
-        r = max(scale * _poly_diameter(poly), 2.0)
+        r = max(scale * math.hypot(*map(float, _diameter(poly))), 2.0)
         bound = 3.0 * r * math.log(r)
         err = abs(exact - main)
         results.append({"scale": scale, "a": a, "b": b, "d": d,

@@ -29,8 +29,8 @@ from .errors import DomainError
 from .farey import ProgressionClass, TupleType, member_pairs
 from ._intgeom import harea, hclip
 # clip stays importable here: the benchmark's traced run rebinds density.clip
-from .geometry import (Incidence, RatPoint, _to_h, area, clip,  # noqa: F401
-                       edge_forms, locate)
+from .geometry import (Incidence, area, clip, edge_forms,  # noqa: F401
+                       locate, point_h)
 from .mosaics import assemble_with_orphans
 from .progression import admissible_residues, euler_phi
 from .tiles import Tile, enumerate_tiles, strip_polygon
@@ -123,8 +123,8 @@ def g1_eval(query: DensityQuery, *, kernel_cap: int = DENSITY_KERNEL_CAP,
     if tiles is None:
         tiles = _tiles_for(query.cls, query.max_order, kernel_cap)
     pref = layer_prefactor(query.cls, paper_constant)
-    p = RatPoint(query.point[0], query.point[1])
-    X, Y, W = _to_h(p)
+    p = query.point
+    X, Y, W = point_h(p)
     total = Fraction(0)
     angle_part = 0.0
     seen_vertex = False
@@ -422,9 +422,9 @@ def _distance_to_vertices(q0, q1, Q, polygons) -> float:
     px, py = q0 / Q, q1 / Q
     best = float("inf")
     for poly in polygons:
-        for v in poly.vertices:
-            dx = px - float(v.x)
-            dy = py - float(v.y)
+        for x, y, w in poly.to_h():
+            dx = px - x / w
+            dy = py - y / w
             dd = math.hypot(dx, dy)
             if dd < best:
                 best = dd

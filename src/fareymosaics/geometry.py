@@ -1,8 +1,14 @@
 """Exact rational 2-D geometry: points, half-planes, convex polygons, outlines.
 
-All coordinates are arbitrary-precision rationals (fractions.Fraction) and
-every predicate is exact; no floating point enters any geometric decision.
-Rationals serialize as "p/q" ("p" when q = 1), points as ["p/q", "r/s"].
+Every coordinate is an exact rational and every predicate is exact; no
+floating point enters any geometric decision.  A convex polygon stores its
+vertices once, as reduced homogeneous integer triples (X, Y, W) for the
+points (X/W, Y/W) (the _intgeom format), so equality, hashing, clipping,
+areas, boxes, edge forms, point location and union outlines run on
+integers.  Fractions appear only at the API edge: RatPoints of Fraction
+coordinates for .vertices, bbox(), JSON, repr and outline loops are built
+when asked for and are not kept.  Rationals serialize as "p/q" ("p" when
+q = 1), points as ["p/q", "r/s"].
 
 All types are immutable values; every operation is pure and safe to call
 concurrently.  Each polygon lazily memoizes its integer bounding box on
@@ -14,8 +20,8 @@ are benign under concurrency.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -99,84 +105,101 @@ class HalfPlane:
         return v <= self.c if self.closed else v < self.c
 
 
-def _to_h(p: RatPoint):
-    w = lcm(p.x.denominator, p.y.denominator)
-    return (p.x.numerator * (w // p.x.denominator),
-            p.y.numerator * (w // p.y.denominator), w)
+def point_h(p) -> tuple:
+    """The reduced homogeneous triple (X, Y, W) of a point (x, y) given as
+    two rationals (or anything Fraction accepts)."""
+    x, y = Fraction(p[0]), Fraction(p[1])
+    dx, dy = x.denominator, y.denominator
+    w = lcm(dx, dy)
+    return x.numerator * (w // dx), y.numerator * (w // dy), w
 
 
-def _from_h(v) -> RatPoint:
-    x, y, w = v
-    return RatPoint(Fraction(x, w), Fraction(y, w))
+def _lex_cmp(p, q) -> int:
+    """Negative, zero or positive as the rational point of triple p comes
+    before, at or after that of q in lexicographic (x, y) order."""
+    (px, py, pw), (qx, qy, qw) = p, q
+    return (px * qw - qx * pw) or (py * qw - qy * pw)
+
+
+def _rotated(hs) -> tuple:
+    """The triples hs as a tuple starting at the lexicographically smallest
+    point."""
+    hs = tuple(hs)
+    k = 0
+    for i in range(1, len(hs)):
+        if _lex_cmp(hs[i], hs[k]) < 0:
+            k = i
+    return hs[k:] + hs[:k]
 
 
 class ConvexPolygon:
     """Immutable strictly convex polygon with CCW rational vertices.
 
-    The empty polygon (no vertices) is allowed and has area 0.  Vertices are
-    stored in a canonical rotation (lexicographically smallest first) so that
-    equality and hashing are independent of the rotation handed in.
+    The vertices are stored once, as a tuple of reduced homogeneous integer
+    triples (the _intgeom format) in a canonical rotation, lexicographically
+    smallest point first, so that equality and hashing are integer tuple
+    operations independent of the rotation handed in.  The empty polygon
+    (no vertices) is allowed and has area 0.
     """
 
-    __slots__ = ("_verts", "_box", "_forms")
+    __slots__ = ("_h", "_box", "_forms")
 
     def __init__(self, vertices: Iterable = ()):
         self._box = self._forms = None
-        pts = [RatPoint(Fraction(x), Fraction(y)) for (x, y) in vertices]
-        if not pts:
-            self._verts = ()
+        hs = [point_h(p) for p in vertices]
+        if not hs:
+            self._h = ()
             return
-        if len(pts) < 3:
+        if len(hs) < 3:
             raise GeometryError("a nonempty convex polygon needs >= 3 vertices")
-        if len(set(pts)) != len(pts):
+        if len(set(hs)) != len(hs):
             raise GeometryError("repeated vertex")
-        n = len(pts)
+        n = len(hs)
         for i in range(n):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
-            turn = (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
+            turn = _intgeom.hcross(hs[i - 1], hs[i], hs[(i + 1) % n])
             if turn < 0:
                 raise GeometryError("vertices must be counter-clockwise")
             if turn == 0:
                 raise GeometryError("three consecutive collinear vertices")
-        self._verts = _rotated(pts)
-
-    @classmethod
-    def _from_ccw(cls, pts) -> "ConvexPolygon":
-        """Polygon from points already known to be strictly convex CCW."""
-        poly = cls.__new__(cls)
-        poly._verts = _rotated(pts)
-        poly._box = poly._forms = None
-        return poly
+        self._h = _rotated(hs)
 
     @classmethod
     def from_h(cls, hverts) -> "ConvexPolygon":
-        return cls._from_ccw([_from_h(v) for v in hverts])
+        """Polygon from a canonical CCW polygon of reduced triples, such as
+        _intgeom.hclip returns; the triples are stored as they are."""
+        poly = cls.__new__(cls)
+        poly._h = _rotated(hverts)
+        poly._box = poly._forms = None
+        return poly
 
-    def to_h(self):
-        return [_to_h(p) for p in self._verts]
+    def to_h(self) -> tuple:
+        """The stored vertex triples, lexicographically smallest first."""
+        return self._h
 
     @property
     def vertices(self) -> tuple:
-        return self._verts
+        """The vertices as RatPoints, built afresh on each call."""
+        return tuple(RatPoint(Fraction(x, w), Fraction(y, w))
+                     for x, y, w in self._h)
 
     @property
     def is_empty(self) -> bool:
-        return not self._verts
+        return not self._h
 
     def __len__(self):
-        return len(self._verts)
+        return len(self._h)
 
     def __eq__(self, other):
-        return isinstance(other, ConvexPolygon) and self._verts == other._verts
+        return isinstance(other, ConvexPolygon) and self._h == other._h
 
     def __hash__(self):
-        return hash(self._verts)
+        return hash(self._h)
 
     def __repr__(self):
         if self.is_empty:
             return "ConvexPolygon(empty)"
         inner = ", ".join(f"({rational_str(p.x)},{rational_str(p.y)})"
-                          for p in self._verts)
+                          for p in self.vertices)
         return f"ConvexPolygon[{inner}]"
 
     def int_box(self) -> tuple:
@@ -184,15 +207,25 @@ class ConvexPolygon:
 
         x0, dx0, y0, dy0, x1, dx1, y1, dy1: each bound a numerator over a
         positive denominator, x0/dx0 <= x <= x1/dx1 and likewise for y.
-        The integers are those of the vertex coordinates themselves.  The
-        empty polygon gives ().
+        The integers are those of the extreme vertices' triples themselves.
+        The empty polygon gives ().
         """
         box = self._box
         if box is None:
             box = ()
-            if self._verts:
-                box = tuple(n for v in self.bbox()
-                            for n in (v.numerator, v.denominator))
+            if self._h:
+                x0 = y0 = x1 = y1 = self._h[0]
+                for v in self._h[1:]:
+                    x, y, w = v
+                    if x * x0[2] < x0[0] * w:
+                        x0 = v
+                    if x * x1[2] > x1[0] * w:
+                        x1 = v
+                    if y * y0[2] < y0[1] * w:
+                        y0 = v
+                    if y * y1[2] > y1[1] * w:
+                        y1 = v
+                box = (x0[0], x0[2], y0[1], y0[2], x1[0], x1[2], y1[1], y1[2])
             self._box = box
         return box
 
@@ -207,30 +240,21 @@ class ConvexPolygon:
         forms = self._forms
         if forms is None:
             forms = self._forms = tuple(
-                n for form in _edge_forms(self._verts) for n in form)
+                n for form in edge_forms(self) for n in form)
         return forms
 
     def bbox(self):
-        xs = [p.x for p in self._verts]
-        ys = [p.y for p in self._verts]
-        return min(xs), min(ys), max(xs), max(ys)
+        """min x, min y, max x, max y as Fractions, read from int_box()."""
+        box = self.int_box()
+        return tuple(map(Fraction, box[::2], box[1::2]))
 
     def to_json(self):
-        return [p.to_json() for p in self._verts]
+        return [p.to_json() for p in self.vertices]
 
     def reflected(self) -> "ConvexPolygon":
         """Image under the diagonal reflection (x, y) -> (y, x)."""
-        return ConvexPolygon._from_ccw(
-            [RatPoint(p.y, p.x) for p in reversed(self._verts)])
-
-
-def _rotated(pts) -> tuple:
-    """pts as a tuple starting at its lexicographically smallest point."""
-    pts = tuple(pts)
-    if not pts:
-        return pts
-    k = min(range(len(pts)), key=pts.__getitem__)
-    return pts[k:] + pts[:k]
+        return ConvexPolygon.from_h(
+            [(y, x, w) for (x, y, w) in reversed(self._h)])
 
 
 EMPTY_POLYGON = ConvexPolygon(())
@@ -243,26 +267,9 @@ def edge_forms(poly: ConvexPolygon) -> list:
     Computed afresh from the vertices; nothing is kept (int_forms is the
     memo of the same coefficients).
     """
-    return _edge_forms(poly.vertices)
-
-
-def _edge_forms(verts) -> list:
-    """The edge forms of a CCW vertex cycle, in integers.  With vertices
-    (X1/W1, Y1/W1) and (X2/W2, Y2/W2), W1*W2 times the edge's form is
-    (Y2*W1 - Y1*W2, X1*W2 - X2*W1, X1*Y2 - X2*Y1); dividing by the gcd
-    makes it coprime."""
-    hs = [_to_h(p) for p in verts]
+    hs = poly.to_h()
     n = len(hs)
-    out = []
-    for i in range(n):
-        x1, y1, w1 = hs[i]
-        x2, y2, w2 = hs[(i + 1) % n]
-        a = y2 * w1 - y1 * w2
-        b = x1 * w2 - x2 * w1
-        c = x1 * y2 - x2 * y1
-        g = gcd(a, b, c)
-        out.append((a // g, b // g, c // g))
-    return out
+    return [_intgeom.hedge_form(hs[i], hs[(i + 1) % n]) for i in range(n)]
 
 
 def line_key(form) -> tuple:
@@ -275,11 +282,9 @@ def line_key(form) -> tuple:
 
 
 def area(poly: ConvexPolygon) -> Fraction:
-    """Exact shoelace area; the empty polygon has area 0."""
-    total = _loop_area2(poly.vertices)
-    if total < 0:
-        raise GeometryError("negative area on a CCW polygon")
-    return total / 2
+    """Exact area (integer shoelace, _intgeom.harea); 0 for the empty
+    polygon."""
+    return _intgeom.harea(poly.to_h())
 
 
 def clip(poly: ConvexPolygon, hp: HalfPlane) -> ConvexPolygon:
@@ -287,10 +292,8 @@ def clip(poly: ConvexPolygon, hp: HalfPlane) -> ConvexPolygon:
 
     Degenerate results (segments, points) collapse to the empty polygon.
     """
-    if poly.is_empty:
-        return poly
-    a, b, c = hp.int_coeffs()
-    return ConvexPolygon.from_h(_intgeom.hclip(poly.to_h(), a, b, c))
+    return ConvexPolygon.from_h(
+        _intgeom.hclip(poly.to_h(), *hp.int_coeffs()))
 
 
 def affine_image(poly: ConvexPolygon, P: int, Pp: int) -> ConvexPolygon:
@@ -301,8 +304,8 @@ def affine_image(poly: ConvexPolygon, P: int, Pp: int) -> ConvexPolygon:
     """
     if P < 1:
         raise GeometryError(f"affine_image requires P >= 1, got {P}")
-    return ConvexPolygon._from_ccw(
-        [RatPoint(p.x, P * p.y - Pp * p.x) for p in poly.vertices])
+    return ConvexPolygon.from_h([_intgeom.hreduce((x, P * y - Pp * x, w))
+                                 for (x, y, w) in poly.to_h()])
 
 
 class Incidence(enum.Enum):
@@ -324,24 +327,16 @@ class Location:
     directions: tuple = None
 
 
-def _vertex_location(verts, i) -> Location:
-    n = len(verts)
-    p = verts[i]
-    nxt = verts[(i + 1) % n]
-    prv = verts[i - 1]
-    d1 = (nxt.x - p.x, nxt.y - p.y)
-    d2 = (prv.x - p.x, prv.y - p.y)
-    return Location(Incidence.VERTEX, (d1, d2))
-
-
-def _locate_convex(poly: ConvexPolygon, p: RatPoint) -> Location:
-    verts = poly.vertices
-    if not verts:
+def _locate_convex(poly: ConvexPolygon, h) -> Location:
+    """Class of the point with triple h: the signs of a*X + b*Y - c*W over
+    the polygon's memoized edge forms."""
+    n = len(poly)
+    if not n:
         return Location(Incidence.OUTSIDE)
-    x, y, w = _to_h(p)
+    x, y, w = h
     forms = poly.int_forms()
     on_edges = []
-    for i in range(len(verts)):
+    for i in range(n):
         a, b, c = forms[3 * i:3 * i + 3]
         s = a * x + b * y - c * w
         if s > 0:
@@ -353,9 +348,20 @@ def _locate_convex(poly: ConvexPolygon, p: RatPoint) -> Location:
     if len(on_edges) == 1:
         return Location(Incidence.EDGE)
     # Inside a strictly convex polygon, two edge lines meet only at the
-    # vertex their edges share: i + 1, or 0 for the edges 0 and n - 1.
+    # vertex their edges share: i + 1, or 0 for the edges 0 and n - 1.  The
+    # point is that vertex; its directions run to the next and the
+    # previous vertex.
     i, j = on_edges
-    return _vertex_location(verts, 0 if i == 0 and j == len(verts) - 1 else j)
+    k = 0 if i == 0 and j == n - 1 else j
+    hs = poly.to_h()
+
+    def towards(v):
+        vx, vy, vw = v
+        return (Fraction(vx * w - x * vw, vw * w),
+                Fraction(vy * w - y * vw, vw * w))
+
+    return Location(Incidence.VERTEX,
+                    (towards(hs[(k + 1) % n]), towards(hs[k - 1])))
 
 
 def _on_segment(a: RatPoint, b: RatPoint, p: RatPoint) -> bool:
@@ -379,26 +385,21 @@ class Outline:
                                  for loop in self.loops))
 
     def outer_loops(self):
-        return [lp for lp in self.loops if _loop_area2(lp) > 0]
+        return [lp for lp in self.loops if _loop_area(lp) > 0]
 
     def holes(self):
-        return [lp for lp in self.loops if _loop_area2(lp) < 0]
+        return [lp for lp in self.loops if _loop_area(lp) < 0]
 
     def area(self) -> Fraction:
-        return sum((_loop_area2(lp) for lp in self.loops), Fraction(0)) / 2
+        return sum((_loop_area(lp) for lp in self.loops), Fraction(0))
 
     def to_json(self):
         return [[p.to_json() for p in loop] for loop in self.loops]
 
 
-def _loop_area2(loop) -> Fraction:
-    """Twice the signed shoelace area of a closed loop of points."""
-    total = Fraction(0)
-    n = len(loop)
-    for i in range(n):
-        p, q = loop[i], loop[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
-    return total
+def _loop_area(loop) -> Fraction:
+    """Signed area of a closed loop of points, > 0 counter-clockwise."""
+    return _intgeom.harea([point_h(p) for p in loop])
 
 
 def _locate_outline(outline: Outline, p: RatPoint) -> Location:
@@ -435,11 +436,11 @@ def _locate_outline(outline: Outline, p: RatPoint) -> Location:
 
 
 def locate(region: Union[ConvexPolygon, Outline], p: RatPoint) -> Location:
-    """Exact classification of p against a convex polygon or an outline."""
-    p = RatPoint(Fraction(p[0]), Fraction(p[1]))
+    """Exact classification of the point p = (x, y) against a convex
+    polygon or an outline."""
     if isinstance(region, ConvexPolygon):
-        return _locate_convex(region, p)
-    return _locate_outline(region, p)
+        return _locate_convex(region, point_h(p))
+    return _locate_outline(region, RatPoint(Fraction(p[0]), Fraction(p[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +456,12 @@ def boxes_overlap(d, e) -> bool:
 
 
 def _check_interior_disjoint(tiles: Sequence[ConvexPolygon]):
-    hs = [t.to_h() for t in tiles]
     data = [t.int_box() for t in tiles]
     for i in range(len(tiles)):
         d = data[i]
         for j in range(i + 1, len(tiles)):
-            if boxes_overlap(d, data[j]) and \
-                    _intgeom.interiors_intersect(hs[i], hs[j]):
+            if boxes_overlap(d, data[j]) and _intgeom.interiors_intersect(
+                    tiles[i].to_h(), tiles[j].to_h()):
                 raise OverlapError(
                     f"tiles {i} and {j} have intersecting interiors")
 
@@ -508,19 +508,21 @@ def union_outline(tiles: Sequence[ConvexPolygon]) -> Outline:
 
 def _boundary_fragments(tiles) -> list:
     """The directed boundary fragments of union_outline, one line at a time:
-    each fragment runs between neighbouring tile vertices on its line."""
+    each fragment is a pair of triples, neighbouring tile vertices on its
+    line."""
     by_line = {}
     for t in tiles:
-        verts = t.vertices
-        n = len(verts)
+        hs = t.to_h()
+        n = len(hs)
         for i, form in enumerate(edge_forms(t)):
             by_line.setdefault(line_key(form), []).append(
-                (verts[i], verts[(i + 1) % n]))
+                (hs[i], hs[(i + 1) % n]))
 
-    pool = {p: h for t in tiles for p, h in zip(t.vertices, t.to_h())}
+    pool = {v for t in tiles for v in t.to_h()}
     fragments = []
     for (a, b, c), edges in by_line.items():
-        pts = sorted({p for edge in edges for p in edge})
+        pos = line_positions(b, {p for edge in edges for p in edge})
+        pts = sorted(pos, key=pos.get)
         at = {p: k for k, p in enumerate(pts)}
         # +1 at each edge's start, -1 at its end: the prefix sums count the
         # edges over each interval, those running backwards as -1
@@ -537,30 +539,49 @@ def _boundary_fragments(tiles) -> list:
             if net > 1 or net < -1:
                 raise OverlapError("duplicate boundary fragment; tiles overlap")
             if on_line is None:
-                on_line = sorted(p for p, (x, y, w) in pool.items()
-                                 if a * x + b * y == c * w)
-            chain = on_line[bisect_left(on_line, pts[k]):
-                            bisect_right(on_line, pts[k + 1])]
+                pool_pos = line_positions(
+                    b, [v for v in pool if a * v[0] + b * v[1] == c * v[2]])
+                on_line = sorted(pool_pos, key=pool_pos.get)
+                at_pool = {p: i for i, p in enumerate(on_line)}
+            chain = on_line[at_pool[pts[k]]:at_pool[pts[k + 1]] + 1]
             if net < 0:
                 chain.reverse()
             fragments += zip(chain, chain[1:])
     return fragments
 
 
+def line_positions(b, points) -> dict:
+    """Exact integer position of each triple on one line a*x + b*y = c, in
+    the lexicographic order of the points: x, or y on a vertical line
+    (b = 0), brought to the common denominator of the points' W."""
+    i = 0 if b else 1
+    den = lcm(*(p[2] for p in points))
+    return {p: p[i] * (den // p[2]) for p in points}
+
+
+def _direction(u, v) -> tuple:
+    """W_u*W_v times the vector from the point of triple u to that of v."""
+    return v[0] * u[2] - u[0] * v[2], v[1] * u[2] - u[1] * v[2]
+
+
+def _fragment_cmp(f, g) -> int:
+    """Lexicographic order of fragments of triples, as of their points."""
+    return _lex_cmp(f[0], g[0]) or _lex_cmp(f[1], g[1])
+
+
 def _stitch(fragments) -> Outline:
-    """Loops from directed boundary fragments: at each vertex the sharpest
-    left turn is followed; collinear runs are merged; loops are sorted by
-    decreasing signed area."""
+    """Loops from directed boundary fragments of triples: at each vertex the
+    sharpest left turn is followed; collinear runs are merged; loops are
+    sorted by decreasing signed area.  One RatPoint is built per vertex of
+    the result."""
     out_map = {}
     for (u, v) in fragments:
         out_map.setdefault(u, []).append(v)
-    for u in out_map:
-        out_map[u].sort()
 
     loops = []
     unused = set(fragments)
     while unused:
-        start = min(unused)
+        start = min(unused, key=cmp_to_key(_fragment_cmp))
         origin = start[0]
         loop_pts = []
         cur = start
@@ -570,27 +591,23 @@ def _stitch(fragments) -> Outline:
             loop_pts.append(u)
             if v == origin:
                 break
-            din = (v.x - u.x, v.y - u.y)
+            din = _direction(u, v)
             candidates = [w for w in out_map.get(v, ()) if (v, w) in unused]
             if not candidates:
                 raise GeometryError("open boundary chain in union outline")
             best = candidates[0]
             for w in candidates[1:]:
-                if _more_ccw(din, (w.x - v.x, w.y - v.y),
-                             (best.x - v.x, best.y - v.y)):
+                if _more_ccw(din, _direction(v, w), _direction(v, best)):
                     best = w
             cur = (v, best)
         # merge collinear runs
-        merged = []
         m = len(loop_pts)
-        for i in range(m):
-            a = loop_pts[i - 1]
-            b = loop_pts[i]
-            c = loop_pts[(i + 1) % m]
-            if (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x) != 0:
-                merged.append(b)
+        merged = [loop_pts[i] for i in range(m)
+                  if _intgeom.hcross(loop_pts[i - 1], loop_pts[i],
+                                     loop_pts[(i + 1) % m]) != 0]
         if len(merged) >= 3:
-            loops.append(_rotated(merged))
-
-    loops.sort(key=lambda lp: (-_loop_area2(lp), lp))
-    return Outline(tuple(loops))
+            loop = _rotated(merged)
+            loops.append((-_intgeom.harea(loop), tuple(
+                (Fraction(x, w), Fraction(y, w)) for x, y, w in loop)))
+    loops.sort()
+    return Outline(tuple(loop for _, loop in loops))

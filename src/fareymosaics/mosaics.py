@@ -24,10 +24,11 @@ from .errors import (AmbiguityError, DomainError, OrphanWarning,
                      PartnerMissing, ShapeError)
 from .farey import ProgressionClass
 from .geometry import (Outline, RatPoint, boxes_overlap, edge_forms,
-                       line_key, rational_str, union_outline)
+                       line_key, line_positions, rational_str, union_outline)
 from .tiles import Tile, enumerate_tiles
 
 _NE_CORNER = RatPoint(Fraction(1), Fraction(1))
+_NE_CORNER_H = (1, 1, 1)        # the same point as a reduced triple
 
 
 @dataclass(frozen=True)
@@ -81,19 +82,19 @@ class AdjacencyTree:
 
 def shared_edge_pairs(polys) -> set:
     """Indices (i, j) of polygons sharing a boundary segment of positive
-    length, found by grouping directed edges on common lines."""
+    length, found by grouping edges on common lines."""
     by_line = {}
     for idx, poly in enumerate(polys):
-        verts = poly.vertices
-        n = len(verts)
+        hs = poly.to_h()
+        n = len(hs)
         for t, form in enumerate(edge_forms(poly)):
-            u, v = verts[t], verts[(t + 1) % n]
-            # orient the interval along the line by lexicographic order
-            lo, hi = (u, v) if u < v else (v, u)
-            by_line.setdefault(line_key(form), []).append((lo, hi, idx))
+            by_line.setdefault(line_key(form), []).append(
+                (hs[t], hs[(t + 1) % n], idx))
     out = set()
-    for key, entries in by_line.items():
-        entries.sort()
+    for (_, b, _), edges in by_line.items():
+        pos = line_positions(b, {p for u, v, _ in edges for p in (u, v)})
+        entries = sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), idx)
+                         for u, v, idx in edges)
         for i in range(len(entries)):
             lo1, hi1, idx1 = entries[i]
             for j in range(i + 1, len(entries)):
@@ -156,8 +157,7 @@ def assemble_with_orphans(tiles, kernel: int):
             neighbours[i].add(j)
             neighbours[j].add(i)
 
-    seed_idx = [i for i, t in enumerate(tiles)
-                if _NE_CORNER in t.poly.vertices]
+    seed_idx = [i for i, hs in enumerate(tile_hs) if _NE_CORNER_H in hs]
     members = [[i] for i in seed_idx]
     member_sets = [{i} for i in seed_idx]
 
@@ -191,7 +191,7 @@ def assemble_with_orphans(tiles, kernel: int):
     for group in members:
         group_tiles = tuple(sorted((tiles[i] for i in group),
                                    key=lambda t: t.k))
-        root = next(t for t in group_tiles if _NE_CORNER in t.poly.vertices)
+        root = next(t for t in group_tiles if _NE_CORNER_H in t.poly.to_h())
         outline = union_outline([t.poly for t in group_tiles])
         grp_orders = [t.order for t in group_tiles]
         poly_set = {t.poly for t in group_tiles}

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .continuants import IndexTuple
 from .errors import DomainError, SizeError
 from .farey import ProgressionClass, TupleType
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, edge_forms
 
 
 def euler_phi(n: int) -> int:
@@ -169,15 +169,19 @@ def exact_cardinality(Q: int, cls: ProgressionClass) -> int:
     return total
 
 
-def _diameter_sq(poly: ConvexPolygon) -> Fraction:
-    verts = poly.vertices
-    best = Fraction(0)
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            dx = verts[i].x - verts[j].x
-            dy = verts[i].y - verts[j].y
-            best = max(best, dx * dx + dy * dy)
-    return best
+def _diameter(poly: ConvexPolygon) -> tuple:
+    """(dx, dy), exact, between the two vertices farthest apart (the first
+    such pair in vertex order); (0, 0) for the empty polygon."""
+    hs = poly.to_h()
+    best, out = -1, (Fraction(0), Fraction(0))
+    for i, (x1, y1, w1) in enumerate(hs):
+        for x2, y2, w2 in hs[i + 1:]:
+            w = w1 * w2
+            dx, dy = x1 * w2 - x2 * w1, y1 * w2 - y2 * w1
+            d2 = Fraction(dx * dx + dy * dy, w * w)
+            if d2 > best:
+                best, out = d2, (Fraction(dx, w), Fraction(dy, w))
+    return out
 
 
 def lattice_count_exact(poly: ConvexPolygon, scale: int, a: int, b: int,
@@ -197,45 +201,30 @@ def lattice_count_exact(poly: ConvexPolygon, scale: int, a: int, b: int,
         raise DomainError("scale and d must be >= 1")
     if poly.is_empty:
         return 0
-    if scale * scale * _diameter_sq(poly) > Fraction(max_extent) ** 2:
+    dx, dy = _diameter(poly)
+    if scale * scale * (dx * dx + dy * dy) > Fraction(max_extent) ** 2:
         raise SizeError(
             f"scale*diameter exceeds enumeration budget {max_extent}")
-    strict = []
-    for hp in open_edges:
-        ca, cb, cc = hp.int_coeffs()
-        strict.append((ca, cb, cc * scale))
+    # (m, n) lies in scale*poly iff fa*m + fb*n <= fc*scale for every edge
+    # form (fa, fb, fc); an open edge's form (ca, cb, cc) asks for
+    # ca*m + cb*n < cc*scale
+    forms = [(fa, fb, fc * scale) for fa, fb, fc in edge_forms(poly)]
+    strict = [(ca, cb, cc * scale)
+              for ca, cb, cc in (hp.int_coeffs() for hp in open_edges)]
     a %= d
     b %= d
-    verts = [(scale * p.x, scale * p.y) for p in poly.vertices]
-    xs = [x for x, _ in verts]
-    m_lo = max(1, math.ceil(min(xs)))
-    m_hi = math.floor(max(xs))
+    x0, dx0, _, _, x1, dx1, _, _ = poly.int_box()
+    m_lo = max(1, -(-x0 * scale // dx0))
     count = 0
-    nv = len(verts)
-    for m in range(m_lo, m_hi + 1):
-        if m % d != a:
-            continue
-        # y-range of the vertical section x = m, exact
-        ylo = None
-        yhi = None
-        xm = Fraction(m)
-        for i in range(nv):
-            (x1, y1), (x2, y2) = verts[i], verts[(i + 1) % nv]
-            if x1 == x2:
-                if x1 == xm:
-                    lo, hi = min(y1, y2), max(y1, y2)
-                    ylo = lo if ylo is None else min(ylo, lo)
-                    yhi = hi if yhi is None else max(yhi, hi)
-                continue
-            if min(x1, x2) <= xm <= max(x1, x2):
-                t = (xm - x1) / (x2 - x1)
-                y = y1 + t * (y2 - y1)
-                ylo = y if ylo is None else min(ylo, y)
-                yhi = y if yhi is None else max(yhi, y)
-        if ylo is None:
-            continue
-        n_lo = max(1, math.ceil(ylo))
-        n_hi = math.floor(yhi)
+    for m in range(m_lo + (a - m_lo) % d, x1 * scale // dx1 + 1, d):
+        # the section x = m, exact: fb*n <= fc - fa*m for every form
+        n_lo, n_hi = 1, math.inf
+        for fa, fb, fc in forms:
+            r = fc - fa * m
+            if fb > 0:
+                n_hi = min(n_hi, r // fb)
+            elif fb < 0:
+                n_lo = max(n_lo, -(r // -fb))
         n = n_lo + ((b - n_lo) % d)
         while n <= n_hi:
             if math.gcd(m, n) == 1 and \

@@ -31,8 +31,7 @@ from .continuants import (IndexTuple, continuant, continuant_shifted,
                           validate_index_tuple)
 from .errors import BudgetError, DomainError
 from .farey import ProgressionClass, TupleType
-from .geometry import (ConvexPolygon, HalfPlane, RatPoint, affine_image,
-                       area, clip)
+from .geometry import ConvexPolygon, HalfPlane, RatPoint, affine_image, clip
 from .progression import AdmissibleResidues, admissible_residues
 
 # Closure of the Farey triangle {(x, y) in (0,1]^2 : x + y > 1}.
@@ -92,10 +91,6 @@ class StripPolygon:
     poly: ConvexPolygon
 
 
-# Closure of the Farey triangle as homogeneous integer vertices (X, Y, W).
-_T_H = [(0, 1, 1), (1, 0, 1), (1, 1, 1)]
-
-
 def _cut(hpoly, lp, lc, kj):
     """One refinement step: the part of region hpoly whose next index is kj.
 
@@ -114,7 +109,7 @@ def _cut(hpoly, lp, lc, kj):
 def region(k: IndexTuple) -> Region:
     """Closure of {(x, y) in T : index sequence = k}; empty if infeasible."""
     k = validate_index_tuple(k)
-    poly, lp, lc = _T_H, (1, 0), (0, 1)    # x_{-1} = x, x_0 = y
+    poly, lp, lc = FAREY_TRIANGLE.to_h(), (1, 0), (0, 1)  # x_{-1}=x, x_0=y
     for kj in k:
         poly, ln = _cut(poly, lp, lc, kj)
         if not poly:
@@ -133,7 +128,7 @@ def tile(k: IndexTuple, pattern: TupleType, cls: ProgressionClass) -> Optional[T
     if len(k) != sum(pattern) - 1:
         raise DomainError(f"order {len(k)} does not fit pattern {pattern}")
     reg = region(k)
-    if reg.poly.is_empty or area(reg.poly) == 0:
+    if reg.poly.is_empty:
         return None
     res = admissible_residues(k, pattern, cls)
     if not res.residues:
@@ -240,23 +235,13 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
         else:
             live0.append((e, c, e))
 
-    # Neighbouring tiles meet at vertices, coordinates and residue sets
-    # repeat, and all tiles of one order have one pattern; equal ones are
-    # built once and shared, which keeps a large enumeration far smaller in
-    # memory.
+    # Neighbouring tiles meet at vertices, residue sets repeat, and all
+    # tiles of one order have one pattern; equal ones are built once and
+    # shared, which keeps a large enumeration far smaller in memory.
     out = []
     points = {}
-    coords = {}
     residue_sets = {}
     patterns = {}
-
-    def coord(num, den):
-        g = gcd(num, den)
-        key = (num // g, den // g)
-        f = coords.get(key)
-        if f is None:
-            f = coords[key] = Fraction(*key)
-        return f
 
     def emit(k, m, hpoly, ln):
         kern, shift = ln[1], ln[0]
@@ -264,22 +249,18 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
         # the image under (x, y) -> (x, kern*y + shift*x), as affine_image
         for (x, y, w) in hpoly:
             h = hreduce((x, kern * y + shift * x, w))
-            p = points.get(h)
-            if p is None:
-                hx, hy, hw = h
-                p = points[h] = RatPoint(coord(hx, hw), coord(hy, hw))
-            verts.append(p)
+            verts.append(points.setdefault(h, h))
         n = len(k)
         pattern = patterns.get(n)
         if pattern is None:
             pattern = patterns[n] = (n + 1,)
         res = AdmissibleResidues(k, pattern, cls,
                                  residue_sets.setdefault(m, frozenset(m)))
-        out.append(Tile(k, pattern, ConvexPolygon._from_ccw(verts), kern,
-                        res))
+        out.append(Tile(k, pattern, ConvexPolygon.from_h(verts), kern, res))
 
+    triangle = FAREY_TRIANGLE.to_h()
     if root_m and (kernel_filter is None or kernel_filter == 1):
-        emit((), tuple(root_m), _T_H, (0, 1))
+        emit((), tuple(root_m), triangle, (0, 1))
 
     # Depth-first in pre-order, children in increasing next index, so tiles
     # come out sorted by k and each is built when its node is popped.  A
@@ -289,7 +270,7 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
     nodes = 1
     stack = []
     if live0 and max_order >= 1:
-        stack.append(((), _T_H, (1, 0), (0, 1), tuple(live0), None))
+        stack.append(((), triangle, (1, 0), (0, 1), tuple(live0), None))
 
     while stack:
         k, poly, lp, lc, live, m = stack.pop()

@@ -14,12 +14,166 @@ from fareymosaics import _intgeom
 from fareymosaics.density import (CompareReport, DensityLayerWeight,
                                   EmpiricalHistogram, PointClass,
                                   _vertex_angle_fraction, layer_prefactor)
-from fareymosaics.errors import DomainError, OverlapError
+from fareymosaics.errors import DomainError, GeometryError, OverlapError
 from fareymosaics.farey import ProgressionClass, farey_filtered, farey_stream
 from fareymosaics.geometry import (ConvexPolygon, HalfPlane, Incidence,
                                    Location, Outline, RatPoint, _stitch, area,
-                                   clip, edge_forms)
+                                   clip, edge_forms, point_h,
+                                   rational_str)
 from fareymosaics.mosaics import assemble_with_orphans
+
+
+class FractionPolygon:
+    """geometry.ConvexPolygon as first written: vertices stored as RatPoints
+    of Fractions, canonical rotation by tuple comparison, shoelace area in
+    Fractions.  Its operations are methods here."""
+
+    def __init__(self, vertices=()):
+        pts = [RatPoint(Fraction(x), Fraction(y)) for (x, y) in vertices]
+        if not pts:
+            self.vertices = ()
+            return
+        if len(pts) < 3:
+            raise GeometryError("a nonempty convex polygon needs >= 3 vertices")
+        if len(set(pts)) != len(pts):
+            raise GeometryError("repeated vertex")
+        n = len(pts)
+        for i in range(n):
+            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
+            turn = (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
+            if turn < 0:
+                raise GeometryError("vertices must be counter-clockwise")
+            if turn == 0:
+                raise GeometryError("three consecutive collinear vertices")
+        self.vertices = _rotated_points(pts)
+
+    @classmethod
+    def _from_ccw(cls, pts):
+        poly = cls.__new__(cls)
+        poly.vertices = _rotated_points(pts)
+        return poly
+
+    def __eq__(self, other):
+        return self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash(self.vertices)
+
+    def __repr__(self):
+        if not self.vertices:
+            return "ConvexPolygon(empty)"
+        inner = ", ".join(f"({rational_str(p.x)},{rational_str(p.y)})"
+                          for p in self.vertices)
+        return f"ConvexPolygon[{inner}]"
+
+    def to_json(self):
+        return [p.to_json() for p in self.vertices]
+
+    def bbox(self):
+        xs = [p.x for p in self.vertices]
+        ys = [p.y for p in self.vertices]
+        return min(xs), min(ys), max(xs), max(ys)
+
+    def area(self):
+        total = Fraction(0)
+        n = len(self.vertices)
+        for i in range(n):
+            p, q = self.vertices[i], self.vertices[(i + 1) % n]
+            total += p.x * q.y - q.x * p.y
+        return total / 2
+
+    def reflected(self):
+        return FractionPolygon._from_ccw(
+            [RatPoint(p.y, p.x) for p in reversed(self.vertices)])
+
+    def affine_image(self, P, Pp):
+        return FractionPolygon._from_ccw(
+            [RatPoint(p.x, P * p.y - Pp * p.x) for p in self.vertices])
+
+    def edge_forms(self):
+        """Integer (a, b, c) per edge, from the Fraction vertices."""
+        hs = []
+        for p in self.vertices:
+            w = math.lcm(p.x.denominator, p.y.denominator)
+            hs.append((p.x.numerator * (w // p.x.denominator),
+                       p.y.numerator * (w // p.y.denominator), w))
+        n = len(hs)
+        out = []
+        for i in range(n):
+            x1, y1, w1 = hs[i]
+            x2, y2, w2 = hs[(i + 1) % n]
+            a = y2 * w1 - y1 * w2
+            b = x1 * w2 - x2 * w1
+            c = x1 * y2 - x2 * y1
+            g = math.gcd(a, b, c)
+            out.append((a // g, b // g, c // g))
+        return out
+
+    def clip(self, a, b, c):
+        """The part where a*x + b*y <= c, by brute-force half-plane
+        intersection; empty when it has no area."""
+        pts = halfplane_intersection(self.edge_forms() + [(a, b, c)])
+        return FractionPolygon(pts if len(pts) >= 3 else ())
+
+
+def _rotated_points(pts):
+    """pts as a tuple starting at its lexicographically smallest point."""
+    pts = tuple(pts)
+    if not pts:
+        return pts
+    k = min(range(len(pts)), key=pts.__getitem__)
+    return pts[k:] + pts[:k]
+
+
+def lattice_count_sections(poly, scale, a, b, d, open_edges=()):
+    """progression.lattice_count_exact as first written, without its size
+    check: each column's section of scale*poly is found by intersecting
+    the Fraction vertex edges with the line x = m."""
+    if poly.is_empty:
+        return 0
+    strict = []
+    for hp in open_edges:
+        ca, cb, cc = hp.int_coeffs()
+        strict.append((ca, cb, cc * scale))
+    a %= d
+    b %= d
+    verts = [(scale * p.x, scale * p.y) for p in poly.vertices]
+    xs = [x for x, _ in verts]
+    m_lo = max(1, math.ceil(min(xs)))
+    m_hi = math.floor(max(xs))
+    count = 0
+    nv = len(verts)
+    for m in range(m_lo, m_hi + 1):
+        if m % d != a:
+            continue
+        # y-range of the vertical section x = m, exact
+        ylo = None
+        yhi = None
+        xm = Fraction(m)
+        for i in range(nv):
+            (x1, y1), (x2, y2) = verts[i], verts[(i + 1) % nv]
+            if x1 == x2:
+                if x1 == xm:
+                    lo, hi = min(y1, y2), max(y1, y2)
+                    ylo = lo if ylo is None else min(ylo, lo)
+                    yhi = hi if yhi is None else max(yhi, hi)
+                continue
+            if min(x1, x2) <= xm <= max(x1, x2):
+                t = (xm - x1) / (x2 - x1)
+                y = y1 + t * (y2 - y1)
+                ylo = y if ylo is None else min(ylo, y)
+                yhi = y if yhi is None else max(yhi, y)
+        if ylo is None:
+            continue
+        n_lo = max(1, math.ceil(ylo))
+        n_hi = math.floor(yhi)
+        n = n_lo + ((b - n_lo) % d)
+        while n <= n_hi:
+            if math.gcd(m, n) == 1 and \
+                    all(ca * m + cb * n < cc for (ca, cb, cc) in strict):
+                count += 1
+            n += d
+    return count
 
 
 def halfplane_intersection(constraints):
@@ -541,7 +695,8 @@ def union_outline_pairwise(tiles):
 
 
 def boundary_fragments_pairwise(tiles):
-    """The boundary fragments of union_outline_pairwise, as a list."""
+    """The boundary fragments of union_outline_pairwise, as a list of pairs
+    of homogeneous triples (the form geometry._stitch takes)."""
     pool = set()
     for t in tiles:
         pool.update(t.vertices)
@@ -579,4 +734,4 @@ def boundary_fragments_pairwise(tiles):
 
     if any(cnt > 1 for cnt in fragments.values()):
         raise OverlapError("duplicate boundary fragment; tiles overlap")
-    return list(fragments)
+    return [(point_h(u), point_h(v)) for u, v in fragments]

@@ -1,11 +1,13 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (boundary_fragments_pairwise, halfplane_intersection,
+from oracles import (FractionPolygon, boundary_fragments_pairwise,
+                     halfplane_intersection,
                      hcanon, locate_convex_fraction, point_in_polygon_float,
                      random_convex_polygon, union_outline_pairwise)
 
@@ -481,3 +483,150 @@ class TestSerialization:
         assert p.to_json() == ["1/3", "1"]
         js = json.dumps(T.to_json())
         assert json.loads(js) == [["0", "1"], ["1", "0"], ["1", "1"]]
+
+
+def _given_as(rng, f):
+    """The rational f as one of the forms a caller may pass: a Fraction,
+    one built from an unreduced pair such as Fraction(2, 4), a "p/q"
+    string, or a plain int when integral."""
+    forms = [f, F(2 * f.numerator, 2 * f.denominator), str(f)]
+    if f.denominator == 1:
+        forms.append(int(f))
+    return rng.choice(forms)
+
+
+class TestAgainstFractionPolygon:
+    """Every public ConvexPolygon operation on the integer triples against
+    FractionPolygon, the polygon on Fraction vertices it replaced."""
+
+    def test_every_operation_matches(self):
+        rng = random.Random(59)
+        pairs = [(EMPTY_POLYGON, FractionPolygon(()))]
+        for _ in range(150):
+            src = random_convex_polygon(
+                rng, denom=rng.choice((1, 2, 3, 12, 40)),
+                span=rng.choice((1, 4)), nonneg=rng.random() < 0.2)
+            pts = [(_given_as(rng, p.x), _given_as(rng, p.y))
+                   for p in src.vertices]
+            r = rng.randrange(len(pts))
+            pts = pts[r:] + pts[:r]
+            poly, orc = ConvexPolygon(pts), FractionPolygon(pts)
+            pairs.append((poly, orc))
+            assert poly == ConvexPolygon(pts[1:] + pts[:1])
+            assert hash(poly) == hash(ConvexPolygon(pts[1:] + pts[:1]))
+            mid = tuple((F(u) + F(v)) / 2 for u, v in zip(pts[0], pts[1]))
+            for bad in (pts[::-1], pts[:2], pts + pts[:1],
+                        pts[:1] + [mid] + pts[1:]):
+                with pytest.raises(GeometryError) as got:
+                    ConvexPolygon(bad)
+                with pytest.raises(GeometryError) as want:
+                    FractionPolygon(bad)
+                assert str(got.value) == str(want.value)
+        for poly, orc in pairs:
+            assert poly.vertices == orc.vertices
+            assert all(type(v) is F for p in poly.vertices for v in p)
+            assert all(w > 0 and math.gcd(x, y, w) == 1
+                       for x, y, w in poly.to_h())
+            assert repr(poly) == repr(orc)
+            assert poly.to_json() == orc.to_json()
+            assert area(poly) == orc.area()
+            assert edge_forms(poly) == orc.edge_forms()
+            # images equal the polygons built from the oracle's vertices,
+            # so their triples are stored reduced too
+            assert poly.reflected() == ConvexPolygon(orc.reflected().vertices)
+            P, Pp = rng.randint(1, 20), rng.randint(-10, 10)
+            assert affine_image(poly, P, Pp) == \
+                ConvexPolygon(orc.affine_image(P, Pp).vertices)
+            if poly.is_empty:
+                assert poly.int_box() == ()
+                continue
+            assert poly.bbox() == orc.bbox()
+            box = poly.int_box()
+            assert tuple(F(n, d) for n, d in zip(box[::2], box[1::2])) == \
+                orc.bbox()
+            forms = edge_forms(poly)
+            x, y, w = rng.choice(poly.to_h())
+            lines = [rng.choice(forms),
+                     (w, -2 * w, x - 2 * y),           # through a vertex
+                     (rng.randint(-5, 5) or 1, rng.randint(-5, 5),
+                      rng.randint(-9, 9))]
+            for a, b, c in lines + [(-a, -b, -c) for a, b, c in lines]:
+                assert clip(poly, HalfPlane(a, b, c)) == \
+                    ConvexPolygon(orc.clip(a, b, c).vertices)
+            for p in probe_points(poly):
+                want = locate_convex_fraction(orc, p)
+                assert locate(poly, p) == want
+                assert locate(poly, (_given_as(rng, p.x),
+                                     _given_as(rng, p.y))) == want
+        for (p1, o1), (p2, o2) in zip(pairs, pairs[1:] + pairs[:1]):
+            assert (p1 == p2) == (o1 == o2)
+            assert p1 == p1.reflected().reflected()
+            assert (p1 == p1.reflected()) == (o1 == o1.reflected())
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of RatPoint and Fraction objects built, by class name."""
+    counts = {"RatPoint": 0, "Fraction": 0}
+    for cls in (RatPoint, F):
+        new = cls.__new__
+
+        def counting(c, *args, _new=new, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            return _new(c, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting))
+    return counts
+
+
+class TestOneRepresentation:
+    """Polygons keep integer triples only: the hot paths build no RatPoint,
+    and the integer operations build no Fraction for vertices."""
+
+    def test_hot_paths_build_no_ratpoint(self, constructions):
+        from fareymosaics.density import DensityQuery, g1_eval
+        from fareymosaics.density import support_membership
+        from fareymosaics.farey import ProgressionClass
+        from fareymosaics.tiles import enumerate_tiles
+
+        cls = ProgressionClass(1, 5)
+        tiles = enumerate_tiles(cls, 10, kernel_cap=60)
+        assert constructions["RatPoint"] == 0
+        assert support_membership(400, cls, 10, tiles=tiles) == []
+        assert constructions["RatPoint"] == 0
+        query = DensityQuery((F(61, 97), F(83, 89)), cls, 10)
+        assert g1_eval(query, tiles=tiles)[1] == "generic"
+        assert constructions["RatPoint"] == 0
+
+    def test_outline_builds_one_ratpoint_per_vertex(self, constructions):
+        from fareymosaics.farey import ProgressionClass
+        from fareymosaics.mosaics import assemble_with_orphans
+        from fareymosaics.tiles import enumerate_tiles
+
+        tiles = enumerate_tiles(ProgressionClass(1, 5), 16, 6)
+        (mosaic,), _ = assemble_with_orphans(tiles, 6)
+        polys = [t.poly for t in mosaic.tiles]
+        assert len(polys) == 51
+        before = constructions["RatPoint"]
+        out = union_outline(polys)
+        assert constructions["RatPoint"] - before <= \
+            sum(len(loop) for loop in out.loops)
+
+    def test_integer_operations_build_no_vertex_fraction(self, constructions):
+        rng = random.Random(61)
+        polys = [random_convex_polygon(rng) for _ in range(30)]
+        hp = HalfPlane(1, 2, 1)
+        start = constructions["Fraction"]
+        for poly in polys:
+            ConvexPolygon.from_h(poly.to_h())
+            poly.int_box()
+            edge_forms(poly)
+            poly.int_forms()
+            clip(poly, hp)
+            poly.reflected()
+            affine_image(poly, 3, 2)
+        assert constructions["Fraction"] == start
+        for poly in polys:
+            area(poly)
+        # one Fraction per area: the value returned
+        assert constructions["Fraction"] == start + len(polys)

@@ -3,7 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import polygon_diameter_float, random_convex_polygon
+from oracles import (lattice_count_sections, polygon_diameter_float,
+                     random_convex_polygon)
 
 from fareymosaics.errors import DomainError, SizeError
 from fareymosaics.farey import ProgressionClass, farey_filtered, farey_stream
@@ -147,6 +148,27 @@ class TestLatticeCount:
             want = sum(1 for m in range(1, 31) for n in range(1, 31)
                        if m % d == a and n % d == b and math.gcd(m, n) == 1)
             assert got == want
+
+    def test_integer_sections_match_fraction_sections(self):
+        # the column sections from integer edge forms against the Fraction
+        # edge crossings they replaced, on polygons with vertices and
+        # vertical edges at fractional, integral and negative coordinates
+        rng = random.Random(43)
+        polys = [random_convex_polygon(rng, denom=rng.choice((1, 2, 3, 7)),
+                                       span=3) for _ in range(60)]
+        polys += [ConvexPolygon([(F(3, 2), F(1, 2)), (F(7, 2), F(1, 2)),
+                                 (F(7, 2), F(5, 2)), (F(3, 2), F(5, 2))]),
+                  ConvexPolygon([(1, 0), (2, 0), (2, 3), (1, 3)]), T]
+        for poly in polys:
+            for _ in range(4):
+                scale, d = rng.randint(1, 40), rng.randint(1, 5)
+                a, b = rng.randint(0, d - 1), rng.randint(0, d - 1)
+                opens = rng.choice(([], OPEN_DIAGONAL,
+                                    [HalfPlane(1, -2, F(1, 3), closed=False)]))
+                assert lattice_count_exact(poly, scale, a, b, d,
+                                           open_edges=opens) == \
+                    lattice_count_sections(poly, scale, a, b, d, opens)
+        assert lattice_count_exact(polys[-3], 1, 0, 0, 1) == 3
 
 
 class TestLatticeMainTerm:

@@ -217,8 +217,8 @@ class TestEnumerate:
             assert tiles
             for t in tiles:
                 assert tile(t.k, t.pattern, cls) == t
-            verts = [p for t in tiles for p in t.poly.vertices]
-            assert len({id(p) for p in verts}) == len(set(verts))
+            verts = [v for t in tiles for v in t.poly.to_h()]
+            assert len({id(v) for v in verts}) == len(set(verts))
             sets = [t.residues.residues for t in tiles]
             assert len({id(r) for r in sets}) == len(set(sets))
 
@@ -289,11 +289,14 @@ class TestLeanTileList:
             assert t.residues.pattern is t.pattern
         assert len(pattern) >= 10
 
-    def test_equal_coordinates_are_one_object(self):
+    def test_equal_vertices_are_one_triple(self):
+        # polygons store reduced integer triples; equal vertices of
+        # neighbouring tiles are one tuple object
         for cls in (CLS15, ProgressionClass(3, 12)):
             tiles = enumerate_tiles(cls, 12, kernel_cap=30)
-            coords = [v for t in tiles for p in t.poly.vertices for v in p]
-            assert len({id(v) for v in coords}) == len(set(coords))
+            verts = [v for t in tiles for v in t.poly.to_h()]
+            assert len({id(v) for v in verts}) == len(set(verts))
+            assert all(isinstance(n, int) for v in verts for n in v)
 
     # digests of the enumerations as they were before the tile list was
     # slimmed, over (k, pattern, vertices, kernel, residues) of every tile
