@@ -25,6 +25,10 @@ discrepancies):
   realized inside the disputed sliver at rates growing like Q^2.
 """
 
+from fractions import Fraction
+
+from .geometry import RatPoint
+
 # d = 5, classes c = 1, 2, 3, 4 (identical mosaics for all four).
 D5_ROWS = [
     (1, "SQ_0[·]", 21, 0, 9, "(1,1); (0,1); (1/6,1/6); (1,0)"),
@@ -153,10 +157,6 @@ def rows_for(d: int, kernels=None):
 
 def parse_vertices(s: str):
     """Parse a '(1,1); (2/7,1); ...' vertex string into RatPoints."""
-    from fractions import Fraction
-
-    from .geometry import RatPoint
-
     out = []
     for part in s.split(";"):
         part = part.strip().strip("()")

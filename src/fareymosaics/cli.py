@@ -3,7 +3,8 @@
 Commands: farey list|tuples, kseq, mosaic enumerate|table|render|tree,
 density eval|empirical|compare, verify cardinality|lattice|tables.
 Structured output is UTF-8 JSON/Markdown/SVG/DOT written to --out or stdout.
-Exit codes: 0 success, 2 validation failure, 3 budget exceeded.
+Exit codes: 0 success, 2 validation failure (malformed arguments, non-JSON
+input, unreadable or unwritable files), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ def _cls(args) -> ProgressionClass:
     return ProgressionClass(args.c, args.d)
 
 
+# argparse type functions: a ValueError they raise makes argparse print
+# the usage and exit with EXIT_VALIDATION
+
 def _parse_kernels(spec: str):
     out = []
     for part in spec.split(","):
@@ -59,6 +63,25 @@ def _parse_kernels(spec: str):
         else:
             out.append(int(part))
     return sorted(set(out))
+
+
+def _int_tuple(spec: str) -> tuple:
+    """'2,2,3' -> (2, 2, 3)."""
+    return tuple(int(v) for v in spec.split(","))
+
+
+def _int_pair(spec: str) -> tuple:
+    pair = _int_tuple(spec)
+    if len(pair) != 2:
+        raise ValueError(spec)
+    return pair
+
+
+def _rational(spec: str) -> Fraction:
+    try:
+        return parse_rational(spec)
+    except ZeroDivisionError:
+        raise ValueError(spec) from None
 
 
 def cmd_farey_list(args) -> int:
@@ -86,7 +109,7 @@ def cmd_farey_tuples(args) -> int:
 
 
 def cmd_kseq(args) -> int:
-    qp, qpp = (int(v) for v in args.pair.split(","))
+    qp, qpp = args.pair
     k, chain = index_sequence_int(qp, qpp, args.q, args.n)
     _write(args, json.dumps({
         "q": args.q, "pair": [qp, qpp], "k": list(k),
@@ -103,8 +126,7 @@ def cmd_mosaic_enumerate(args) -> int:
 
 
 def cmd_mosaic_table(args) -> int:
-    kernels = _parse_kernels(args.kernels)
-    rows = table(_cls(args), kernels, args.max_order, budget=args.budget)
+    rows = table(_cls(args), args.kernels, args.max_order, budget=args.budget)
     _write(args, emit_table(rows, args.format, max_order=args.max_order))
     return EXIT_OK
 
@@ -121,8 +143,7 @@ def _assembled(args, kernel):
 def cmd_mosaic_render(args) -> int:
     mosaics = _assembled(args, args.kernel)
     if args.root:
-        root = tuple(int(v) for v in args.root.split(","))
-        mosaics = [m for m in mosaics if m.root.k == root]
+        mosaics = [m for m in mosaics if m.root.k == args.root]
     spec = RenderSpec(width=args.width, height=args.height, labels=args.labels)
     _write(args, render_mosaic(mosaics, spec))
     return EXIT_OK
@@ -130,18 +151,16 @@ def cmd_mosaic_render(args) -> int:
 
 def cmd_mosaic_tree(args) -> int:
     mosaics = _assembled(args, args.kernel)
-    root = tuple(int(v) for v in args.root.split(",")) if args.root else None
     for m in mosaics:
-        if root is None or m.root.k == root:
+        if args.root is None or m.root.k == args.root:
             _write(args, render_tree(adjacency_tree(m), name=m.name))
             return EXIT_OK
-    print(f"no mosaic with root {root}", file=sys.stderr)
+    print(f"no mosaic with root {args.root}", file=sys.stderr)
     return EXIT_VALIDATION
 
 
 def cmd_density_eval(args) -> int:
-    q = DensityQuery((parse_rational(args.x), parse_rational(args.y)),
-                     _cls(args), args.max_order)
+    q = DensityQuery((args.x, args.y), _cls(args), args.max_order)
     value, kind = g1_eval(q, kernel_cap=args.kernel_cap,
                           paper_constant=args.classical_prefactor)
     _write(args, json.dumps({"value": value, "classification": kind}) + "\n")
@@ -177,31 +196,24 @@ def cmd_verify_cardinality(args) -> int:
 
 def _random_convex_polygon(rng, nmax=8):
     # convex hull of a few random rational points in the unit square
-    pts = {(Fraction(rng.randint(0, 1000), 1000),
-            Fraction(rng.randint(0, 1000), 1000))
-           for _ in range(rng.randint(3, nmax))}
-    pts = sorted(pts)
-    if len(pts) < 3:
-        return None
-
-    def half_hull(points):
-        hull = []
-        for p in points:
-            while len(hull) >= 2:
-                (x1, y1), (x2, y2) = hull[-2], hull[-1]
-                if (x2 - x1) * (p[1] - y2) - (y2 - y1) * (p[0] - x2) <= 0:
-                    hull.pop()
-                else:
-                    break
+    # (monotone chain: the lower hull, then the upper one on top of it)
+    pts = sorted({(Fraction(rng.randint(0, 1000), 1000),
+                   Fraction(rng.randint(0, 1000), 1000))
+                  for _ in range(rng.randint(3, nmax))})
+    hull = []
+    for chain in (pts, pts[::-1]):
+        base = len(hull)
+        for p in chain:
+            while len(hull) >= base + 2 and \
+                    _turn(hull[-2], hull[-1], p) <= 0:
+                hull.pop()
             hull.append(p)
-        return hull
+        hull.pop()
+    return ConvexPolygon(hull) if len(hull) >= 3 else None
 
-    lower = half_hull(pts)
-    upper = half_hull(list(reversed(pts)))
-    verts = lower[:-1] + upper[:-1]
-    if len(verts) < 3:
-        return None
-    return ConvexPolygon(verts)
+
+def _turn(a, b, c):
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
 
 
 def cmd_verify_lattice(args) -> int:
@@ -248,12 +260,10 @@ def cmd_verify_lattice(args) -> int:
 
 def cmd_verify_tables(args) -> int:
     cls = _cls(args)
-    requested = _parse_kernels(args.kernels)
-    expected = catalog.rows_for(args.d, requested)
+    expected = catalog.rows_for(args.d, args.kernels)
     kernels = sorted(set(r[0] for r in expected))
-    stacked = {k: v for k, v in getattr(
-        catalog, "D12_STACKED_KERNELS", {}).items()
-        if args.d == 12 and k in requested}
+    stacked = {k: v for k, v in catalog.D12_STACKED_KERNELS.items()
+               if args.d == 12 and k in args.kernels}
     rows = table(cls, kernels, args.max_order,
                  budget=args.budget) if kernels else []
     produced = {r.name: r for r in rows if r.name is not None}
@@ -264,8 +274,7 @@ def cmd_verify_tables(args) -> int:
             # unbounded mosaic: its truncation carries a fallback name, so
             # match by root tuple and require growth up to the bound
             arg = name[name.index("[") + 1:-1]
-            root = tuple(int(v) for v in arg.split(",")) if arg != "·" \
-                else ()
+            root = _int_tuple(arg) if arg != "·" else ()
             got = by_root.get(root)
             if got is None:
                 failures.append(f"missing mosaic rooted at {root}")
@@ -289,9 +298,8 @@ def cmd_verify_tables(args) -> int:
         for kern in catalog.D5_ABSENT_KERNELS:
             if any(r.kernel == kern and r.name for r in rows):
                 failures.append(f"kernel {kern} should carry no mosaic")
-    extras = [n for n in produced]
-    if extras:
-        failures.append(f"unexpected mosaics: {extras}")
+    if produced:
+        failures.append(f"unexpected mosaics: {list(produced)}")
     # stacked kernels: the per-mosaic split is ambiguous, so the check is
     # the kernel-level aggregate (total tile count and order range)
     for kern, (total, omin, omax, need, _rows) in sorted(stacked.items()):
@@ -339,13 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--d", type=int, required=c_required)
         sp.add_argument("--out", default=None)
 
+    def walk_bounds(sp):
+        sp.add_argument("--max-order", type=int, required=True)
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
     farey = sub.add_parser("farey").add_subparsers(dest="sub", required=True)
     fl = farey.add_parser("list")
     fl.add_argument("--q", type=int, required=True)
-    fl.add_argument("--c", type=int, default=None)
-    fl.add_argument("--d", type=int, default=None)
+    common(fl, c_required=False)
     fl.add_argument("--format", choices=("json", "csv"), default="csv")
-    fl.add_argument("--out", default=None)
     fl.set_defaults(func=cmd_farey_list)
     ft = farey.add_parser("tuples")
     ft.add_argument("--q", type=int, required=True)
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kq = sub.add_parser("kseq")
     kq.add_argument("--q", type=int, required=True)
-    kq.add_argument("--pair", required=True, help="q',q''")
+    kq.add_argument("--pair", type=_int_pair, required=True, help="q',q''")
     kq.add_argument("--n", type=int, required=True)
     kq.add_argument("--out", default=None)
     kq.set_defaults(func=cmd_kseq)
@@ -366,22 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
     common(me)
     me.add_argument("--kernel", type=int, default=None)
     me.add_argument("--kernel-cap", type=int, default=None)
-    me.add_argument("--max-order", type=int, required=True)
-    me.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    walk_bounds(me)
     me.set_defaults(func=cmd_mosaic_enumerate)
     mt = mosaic.add_parser("table")
     common(mt)
-    mt.add_argument("--kernels", required=True, help="e.g. 1..9 or 3,9,15")
-    mt.add_argument("--max-order", type=int, required=True)
-    mt.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    mt.add_argument("--kernels", type=_parse_kernels, required=True,
+                    help="e.g. 1..9 or 3,9,15")
+    walk_bounds(mt)
     mt.add_argument("--format", choices=("json", "md"), default="md")
     mt.set_defaults(func=cmd_mosaic_table)
     mr = mosaic.add_parser("render")
     common(mr)
     mr.add_argument("--kernel", type=int, required=True)
-    mr.add_argument("--root", default=None, help="root tuple, e.g. 2,2,3")
-    mr.add_argument("--max-order", type=int, required=True)
-    mr.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    mr.add_argument("--root", type=_int_tuple, default=None,
+                    help="root tuple, e.g. 2,2,3")
+    walk_bounds(mr)
     mr.add_argument("--width", type=int, default=720)
     mr.add_argument("--height", type=int, default=720)
     mr.add_argument("--labels", action="store_true")
@@ -389,9 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     mtr = mosaic.add_parser("tree")
     common(mtr)
     mtr.add_argument("--kernel", type=int, required=True)
-    mtr.add_argument("--root", default=None)
-    mtr.add_argument("--max-order", type=int, required=True)
-    mtr.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    mtr.add_argument("--root", type=_int_tuple, default=None)
+    walk_bounds(mtr)
     mtr.add_argument("--format", choices=("dot",), default="dot")
     mtr.set_defaults(func=cmd_mosaic_tree)
 
@@ -399,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                                                        required=True)
     de = density.add_parser("eval")
     common(de)
-    de.add_argument("--x", required=True)
-    de.add_argument("--y", required=True)
+    de.add_argument("--x", type=_rational, required=True)
+    de.add_argument("--y", type=_rational, required=True)
     de.add_argument("--max-order", type=int, required=True)
     de.add_argument("--kernel-cap", type=int, default=DENSITY_KERNEL_CAP)
     de.add_argument("--classical-prefactor", action="store_true")
@@ -447,9 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     vl.set_defaults(func=cmd_verify_lattice)
     vt = verify.add_parser("tables")
     common(vt)
-    vt.add_argument("--kernels", required=True)
-    vt.add_argument("--max-order", type=int, required=True)
-    vt.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    vt.add_argument("--kernels", type=_parse_kernels, required=True)
+    walk_bounds(vt)
     vt.set_defaults(func=cmd_verify_tables)
 
     return p
@@ -458,12 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_farey_list and (args.c is None) != (args.d is None):
+        parser.error("farey list takes --c and --d together")
     try:
         return args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FareyMosaicsError as exc:
+    except (FareyMosaicsError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

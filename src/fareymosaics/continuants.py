@@ -44,21 +44,20 @@ def continuant_shifted(k: IndexTuple, frm: int, j: int) -> int:
         raise RangeError(f"bad sub-range frm={frm}, j={j}")
     if j >= 1 and frm - 1 + j > len(k):
         raise RangeError(f"sub-range ({frm}, {j}) exceeds order {len(k)}")
-    return continuant(tuple(k[frm - 1:frm - 1 + j]), j if j >= 0 else j)
+    return continuant(tuple(k[frm - 1:frm - 1 + j]), j)
 
 
 def eval_linear(k: IndexTuple, j: int, x, y):
     """x_j as the linear combination p_j(k_1..k_j)*y - p_{j-1}(k_2..k_j)*x.
 
     Equals the recurrence-computed chain value whenever k is the index tuple
-    generated by (x, y).  By convention j = -1 gives x and j = 0 gives y.
+    generated by (x, y).  By convention j = -1 gives x, and j = 0 gives y
+    (p_0 = 1, p_{-1} = 0).
     """
     if j < -1 or j > len(k):
         raise RangeError(f"j={j} outside [-1, {len(k)}]")
     if j == -1:
         return Fraction(x)
-    if j == 0:
-        return Fraction(y)
     return continuant(k, j) * Fraction(y) - \
         continuant_shifted(k, 2, j - 1) * Fraction(x)
 
@@ -73,13 +72,9 @@ class ValueChain:
     indices: IndexTuple
 
     def value(self, j: int) -> Fraction:
-        if j == -1:
-            return self.x_minus1
-        if j == 0:
-            return self.x_0
-        if 1 <= j <= len(self.successors):
-            return self.successors[j - 1]
-        raise RangeError(f"chain position {j} not generated")
+        if not -1 <= j <= len(self.successors):
+            raise RangeError(f"chain position {j} not generated")
+        return (self.x_minus1, self.x_0, *self.successors)[j + 1]
 
 
 @dataclass(frozen=True)
@@ -93,13 +88,9 @@ class DenominatorChain:
     indices: IndexTuple
 
     def value(self, j: int) -> int:
-        if j == -1:
-            return self.q_minus1
-        if j == 0:
-            return self.q_0
-        if 1 <= j <= len(self.successors):
-            return self.successors[j - 1]
-        raise RangeError(f"chain position {j} not generated")
+        if not -1 <= j <= len(self.successors):
+            raise RangeError(f"chain position {j} not generated")
+        return (self.q_minus1, self.q_0, *self.successors)[j + 1]
 
 
 def index_sequence_real(x, y, n: int):

@@ -19,12 +19,12 @@ mirror, since F^Q is symmetric about 1/2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .continuants import index_sequence_real
+from .continuants import (continuant, continuant_shifted, eval_linear,
+                          index_sequence_real)
 from .errors import DomainError
 from .farey import ProgressionClass, TupleType, member_pairs
 from ._intgeom import harea, hclip
@@ -88,10 +88,11 @@ class PointClass:
     OUTSIDE = "outside"
 
 
-@functools.lru_cache(maxsize=8)
 def _tiles_for(cls: ProgressionClass, max_order: int, kernel_cap: int):
-    return tuple(enumerate_tiles(cls, max_order, kernel_cap=kernel_cap,
-                                 budget=10 ** 7))
+    """The tiles a call without tiles= works on, enumerated afresh; a caller
+    that repeats calls on one enumeration passes it as tiles=."""
+    return enumerate_tiles(cls, max_order, kernel_cap=kernel_cap,
+                           budget=10 ** 7)
 
 
 def _vertex_angle_fraction(directions) -> float:
@@ -165,8 +166,6 @@ def gs_first_term(query: DensityQuery, r: TupleType, k, *,
     core generator lies strictly inside T_k (in the half-open floor sense),
     0 otherwise.  Boundary and vertex corrections are out of scope for
     s >= 2."""
-    from .continuants import continuant, continuant_shifted, eval_linear
-
     r = tuple(int(v) for v in r)
     k = tuple(int(v) for v in k)
     if len(k) != sum(r) - 1:

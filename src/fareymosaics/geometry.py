@@ -5,16 +5,18 @@ floating point enters any geometric decision.  A convex polygon stores its
 vertices once, as reduced homogeneous integer triples (X, Y, W) for the
 points (X/W, Y/W) (the _intgeom format), so equality, hashing, clipping,
 areas, boxes, edge forms, point location and union outlines run on
-integers.  Fractions appear only at the API edge: RatPoints of Fraction
-coordinates for .vertices, bbox(), JSON, repr and outline loops are built
-when asked for and are not kept.  Rationals serialize as "p/q" ("p" when
-q = 1), points as ["p/q", "r/s"].
+integers.  An outline stores its loops the same way, so its areas, loop
+signs and point location run on integers too.  Fractions appear only at
+the API edge: RatPoints of Fraction coordinates for .vertices, bbox(),
+JSON, repr and outline loops are built when asked for and are not kept.
+Rationals serialize as "p/q" ("p" when q = 1), points as ["p/q", "r/s"].
 
 All types are immutable values; every operation is pure and safe to call
-concurrently.  Each polygon lazily memoizes its integer bounding box on
-first use, and its integer edge forms on the first point location inside
-that box; those write-once caches only ever store the same value, so they
-are benign under concurrency.
+concurrently.  Each convex polygon lazily memoizes its integer bounding
+box on first use, and its integer edge forms on the first point location
+inside that box; those write-once caches only ever store the same value,
+so they are benign under concurrency.  An outline keeps no memo: its point
+loops and loop areas are computed on each call.
 """
 
 from __future__ import annotations
@@ -64,13 +66,9 @@ def point_from_json(obj) -> RatPoint:
 def int_form(a, b, c):
     """Rationals a, b, c scaled by one positive factor to coprime integers."""
     m = lcm(a.denominator, b.denominator, c.denominator)
-    ai = a.numerator * (m // a.denominator)
-    bi = b.numerator * (m // b.denominator)
-    ci = c.numerator * (m // c.denominator)
-    g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
-    if g > 1:
-        return ai // g, bi // g, ci // g
-    return ai, bi, ci
+    ai, bi, ci = (v.numerator * (m // v.denominator) for v in (a, b, c))
+    g = gcd(ai, bi, ci) or 1
+    return ai // g, bi // g, ci // g
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,8 @@ class HalfPlane:
     closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
+        for name in "abc":
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.a == 0 and self.b == 0:
             raise GeometryError("half-plane normal must be nonzero")
 
@@ -327,6 +324,14 @@ class Location:
     directions: tuple = None
 
 
+def _towards(h, v) -> tuple:
+    """The vector from the point of triple h to that of triple v, as two
+    Fractions: the direction of a VERTEX location."""
+    (x, y, w), (vx, vy, vw) = h, v
+    return (Fraction(vx * w - x * vw, vw * w),
+            Fraction(vy * w - y * vw, vw * w))
+
+
 def _locate_convex(poly: ConvexPolygon, h) -> Location:
     """Class of the point with triple h: the signs of a*X + b*Y - c*W over
     the polygon's memoized edge forms."""
@@ -354,85 +359,95 @@ def _locate_convex(poly: ConvexPolygon, h) -> Location:
     i, j = on_edges
     k = 0 if i == 0 and j == n - 1 else j
     hs = poly.to_h()
-
-    def towards(v):
-        vx, vy, vw = v
-        return (Fraction(vx * w - x * vw, vw * w),
-                Fraction(vy * w - y * vw, vw * w))
-
     return Location(Incidence.VERTEX,
-                    (towards(hs[(k + 1) % n]), towards(hs[k - 1])))
+                    (_towards(h, hs[(k + 1) % n]), _towards(h, hs[k - 1])))
 
 
-def _on_segment(a: RatPoint, b: RatPoint, p: RatPoint) -> bool:
-    s = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-    if s != 0:
-        return False
-    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and \
-        min(a.y, b.y) <= p.y <= max(a.y, b.y)
+def _points(loop) -> tuple:
+    """The RatPoints of a loop of triples."""
+    return tuple(RatPoint(Fraction(x, w), Fraction(y, w)) for x, y, w in loop)
 
 
-@dataclass(frozen=True)
 class Outline:
-    """Union boundary: outer loops counter-clockwise, holes clockwise."""
+    """Union boundary: outer loops counter-clockwise, holes clockwise.
 
-    loops: tuple
+    The loops are stored once, as tuples of reduced homogeneous integer
+    triples (as in ConvexPolygon), so equality, hashing, areas, loop signs
+    and point location run on integers.  Outline takes loops of points;
+    .loops, outer_loops() and holes() build RatPoints afresh on each call.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "loops",
-                           tuple(tuple(RatPoint(Fraction(x), Fraction(y))
-                                       for (x, y) in loop)
-                                 for loop in self.loops))
+    __slots__ = ("_h",)
+
+    def __init__(self, loops):
+        self._h = tuple(tuple(map(point_h, loop)) for loop in loops)
+
+    @classmethod
+    def from_h(cls, hloops) -> "Outline":
+        """Outline from loops of reduced triples, stored as they are."""
+        outline = cls.__new__(cls)
+        outline._h = tuple(map(tuple, hloops))
+        return outline
+
+    def to_h(self) -> tuple:
+        return self._h
+
+    @property
+    def loops(self) -> tuple:
+        return tuple(map(_points, self._h))
 
     def outer_loops(self):
-        return [lp for lp in self.loops if _loop_area(lp) > 0]
+        return [_points(lp) for lp in self._h if _intgeom.harea(lp) > 0]
 
     def holes(self):
-        return [lp for lp in self.loops if _loop_area(lp) < 0]
+        return [_points(lp) for lp in self._h if _intgeom.harea(lp) < 0]
 
     def area(self) -> Fraction:
-        return sum((_loop_area(lp) for lp in self.loops), Fraction(0))
+        return sum(map(_intgeom.harea, self._h), Fraction(0))
+
+    def __eq__(self, other):
+        return isinstance(other, Outline) and self._h == other._h
+
+    def __hash__(self):
+        return hash(self._h)
+
+    def __repr__(self):
+        return f"Outline(loops={self.loops!r})"
 
     def to_json(self):
         return [[p.to_json() for p in loop] for loop in self.loops]
 
 
-def _loop_area(loop) -> Fraction:
-    """Signed area of a closed loop of points, > 0 counter-clockwise."""
-    return _intgeom.harea([point_h(p) for p in loop])
-
-
-def _locate_outline(outline: Outline, p: RatPoint) -> Location:
+def _locate_outline(outline: Outline, h) -> Location:
+    """Class of the point with triple h against an outline, by integer
+    signs: a vertex is an equal triple, an edge point is on the edge's line
+    and inside its span, and otherwise the +x ray from the point crosses
+    the boundary an odd number of times exactly when the point is inside."""
+    loops = outline.to_h()
     # Boundary first: vertex beats edge.
-    for loop in outline.loops:
-        n = len(loop)
-        for i in range(n):
-            if loop[i] == p:
-                nxt = loop[(i + 1) % n]
-                prv = loop[i - 1]
-                return Location(Incidence.VERTEX,
-                    ((nxt.x - p.x, nxt.y - p.y), (prv.x - p.x, prv.y - p.y)))
-    for loop in outline.loops:
-        n = len(loop)
-        for i in range(n):
-            if _on_segment(loop[i], loop[(i + 1) % n], p):
-                return Location(Incidence.EDGE)
-    # Even-odd ray casting (+x direction); exact because p is off-boundary.
+    for loop in loops:
+        if h in loop:
+            i = loop.index(h)
+            return Location(Incidence.VERTEX, (
+                _towards(h, loop[(i + 1) % len(loop)]),
+                _towards(h, loop[i - 1])))
+    x, y, w = h
     crossings = 0
-    for loop in outline.loops:
-        n = len(loop)
-        for i in range(n):
-            a, b = loop[i], loop[(i + 1) % n]
-            if (a.y > p.y) == (b.y > p.y):
-                continue
-            # x coordinate where the edge crosses the horizontal through p
-            t = (p.y - a.y) / (b.y - a.y)
-            x_cross = a.x + t * (b.x - a.x)
-            if x_cross > p.x:
-                crossings += 1
-    if crossings % 2 == 1:
-        return Location(Incidence.INTERIOR)
-    return Location(Incidence.OUTSIDE)
+    for loop in loops:
+        for u, v in zip(loop, loop[1:] + loop[:1]):
+            (ux, uy, uw), (vx, vy, vw) = u, v
+            a, b, c = _intgeom.hedge_form(u, v)
+            s = a * x + b * y - c * w        # < 0 left of u -> v
+            dyu, dyv = uy * w - y * uw, vy * w - y * vw
+            if s == 0 and dyu * dyv <= 0 and \
+                    (ux * w - x * uw) * (vx * w - x * vw) <= 0:
+                return Location(Incidence.EDGE)
+            # the edge meets the ray's line in the half-open rule; off the
+            # boundary, its crossing lies right of the point exactly when
+            # the point is left of an upward edge or right of a downward one
+            crossings += (dyu > 0) != (dyv > 0) and (s < 0) == (dyv > 0)
+    return Location(Incidence.INTERIOR if crossings % 2 else
+                    Incidence.OUTSIDE)
 
 
 def locate(region: Union[ConvexPolygon, Outline], p: RatPoint) -> Location:
@@ -440,7 +455,7 @@ def locate(region: Union[ConvexPolygon, Outline], p: RatPoint) -> Location:
     polygon or an outline."""
     if isinstance(region, ConvexPolygon):
         return _locate_convex(region, point_h(p))
-    return _locate_outline(region, RatPoint(Fraction(p[0]), Fraction(p[1])))
+    return _locate_outline(region, point_h(p))
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +579,20 @@ def _direction(u, v) -> tuple:
     return v[0] * u[2] - u[0] * v[2], v[1] * u[2] - u[1] * v[2]
 
 
-def _fragment_cmp(f, g) -> int:
-    """Lexicographic order of fragments of triples, as of their points."""
-    return _lex_cmp(f[0], g[0]) or _lex_cmp(f[1], g[1])
+def _seq_cmp(f, g) -> int:
+    """Lexicographic order of sequences of triples, such as fragments and
+    loops, as of their points."""
+    for p, q in zip(f, g):
+        c = _lex_cmp(p, q)
+        if c:
+            return c
+    return len(f) - len(g)
 
 
 def _stitch(fragments) -> Outline:
     """Loops from directed boundary fragments of triples: at each vertex the
     sharpest left turn is followed; collinear runs are merged; loops are
-    sorted by decreasing signed area.  One RatPoint is built per vertex of
-    the result."""
+    sorted by decreasing signed area, then in point order."""
     out_map = {}
     for (u, v) in fragments:
         out_map.setdefault(u, []).append(v)
@@ -581,7 +600,7 @@ def _stitch(fragments) -> Outline:
     loops = []
     unused = set(fragments)
     while unused:
-        start = min(unused, key=cmp_to_key(_fragment_cmp))
+        start = min(unused, key=cmp_to_key(_seq_cmp))
         origin = start[0]
         loop_pts = []
         cur = start
@@ -606,8 +625,7 @@ def _stitch(fragments) -> Outline:
                   if _intgeom.hcross(loop_pts[i - 1], loop_pts[i],
                                      loop_pts[(i + 1) % m]) != 0]
         if len(merged) >= 3:
-            loop = _rotated(merged)
-            loops.append((-_intgeom.harea(loop), tuple(
-                (Fraction(x, w), Fraction(y, w)) for x, y, w in loop)))
-    loops.sort()
-    return Outline(tuple(loop for _, loop in loops))
+            loops.append(_rotated(merged))
+    loops.sort(key=cmp_to_key(_seq_cmp))
+    loops.sort(key=lambda loop: -_intgeom.harea(loop))     # stable
+    return Outline.from_h(loops)

@@ -15,11 +15,11 @@ may be assembled in parallel.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from ._intgeom import interiors_intersect
+from ._intgeom import harea, hcross, interiors_intersect
 from .errors import (AmbiguityError, DomainError, OrphanWarning,
                      PartnerMissing, ShapeError)
 from .farey import ProgressionClass
@@ -27,8 +27,7 @@ from .geometry import (Outline, RatPoint, boxes_overlap, edge_forms,
                        line_key, line_positions, rational_str, union_outline)
 from .tiles import Tile, enumerate_tiles
 
-_NE_CORNER = RatPoint(Fraction(1), Fraction(1))
-_NE_CORNER_H = (1, 1, 1)        # the same point as a reduced triple
+_NE_CORNER = (1, 1, 1)          # the point (1, 1) as a reduced triple
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def assemble_with_orphans(tiles, kernel: int):
             neighbours[i].add(j)
             neighbours[j].add(i)
 
-    seed_idx = [i for i, hs in enumerate(tile_hs) if _NE_CORNER_H in hs]
+    seed_idx = [i for i, hs in enumerate(tile_hs) if _NE_CORNER in hs]
     members = [[i] for i in seed_idx]
     member_sets = [{i} for i in seed_idx]
 
@@ -191,7 +190,7 @@ def assemble_with_orphans(tiles, kernel: int):
     for group in members:
         group_tiles = tuple(sorted((tiles[i] for i in group),
                                    key=lambda t: t.k))
-        root = next(t for t in group_tiles if _NE_CORNER_H in t.poly.to_h())
+        root = next(t for t in group_tiles if _NE_CORNER in t.poly.to_h())
         outline = union_outline([t.poly for t in group_tiles])
         grp_orders = [t.order for t in group_tiles]
         poly_set = {t.poly for t in group_tiles}
@@ -208,8 +207,7 @@ def assemble_with_orphans(tiles, kernel: int):
             nv = exc.vertex_count if exc.vertex_count is not None else "?"
             prefix = "S" if symmetric else "N"
             name = f"{prefix}?{nv}_{root.order}[{arg}]"
-        out.append(Mosaic(kernel, group_tiles, outline, root, name,
-                          min(grp_orders), max(grp_orders), symmetric))
+        out.append(replace(m, name=name))
     out.sort(key=lambda m: (m.root.order, m.tile_count, m.root.k))
     return out, [tiles[i] for i in unattached]
 
@@ -224,11 +222,12 @@ def mosaic_name(m: Mosaic) -> str:
     vertex count.  Only hexagons are split by convexity: H when convex,
     HV for the concave V-shape.  (Octagons in the catalogs are concave.)
     """
-    outers = m.outline.outer_loops()
-    if len(outers) != 1 or m.outline.holes():
+    loops = m.outline.to_h()
+    outers = _outer_loops(m.outline)
+    if len(outers) != 1 or any(harea(lp) < 0 for lp in loops):
         raise ShapeError(
             f"mosaic outline is not a single simple polygon "
-            f"({len(m.outline.loops)} loops)")
+            f"({len(loops)} loops)")
     loop = outers[0]
     nv = len(loop)
     if nv == 6:
@@ -244,25 +243,29 @@ def mosaic_name(m: Mosaic) -> str:
     return f"{prefix}{shape}_{m.root.order}[{arg}]"
 
 
+def _outer_loops(outline: Outline) -> list:
+    """The counter-clockwise loops of an outline, as loops of triples."""
+    return [lp for lp in outline.to_h() if harea(lp) > 0]
+
+
 def _loop_convex(loop) -> bool:
+    """Whether a loop of triples makes no right turn."""
     n = len(loop)
-    for i in range(n):
-        a, b, c = loop[i - 1], loop[i], loop[(i + 1) % n]
-        if (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x) < 0:
-            return False
-    return True
+    return all(hcross(loop[i - 1], loop[i], loop[(i + 1) % n]) >= 0
+               for i in range(n))
 
 
 def vertices(m: Mosaic) -> list:
     """Outline vertices starting from (1, 1), counter-clockwise."""
-    outers = m.outline.outer_loops()
+    outers = _outer_loops(m.outline)
     if len(outers) != 1:
         raise ShapeError("mosaic outline is not a single loop")
-    loop = list(outers[0])
+    loop = outers[0]
     if _NE_CORNER not in loop:
         raise ShapeError("mosaic outline does not pass through (1,1)")
     i = loop.index(_NE_CORNER)
-    return loop[i:] + loop[:i]
+    return [RatPoint(Fraction(x, w), Fraction(y, w))
+            for x, y, w in loop[i:] + loop[:i]]
 
 
 def adjacency_tree(m: Mosaic) -> AdjacencyTree:

@@ -20,23 +20,6 @@ from .farey import ProgressionClass, TupleType
 from .geometry import ConvexPolygon, edge_forms
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise DomainError(f"phi needs n >= 1, got {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _prime_factors(d: int):
     ps = []
     m = d
@@ -50,6 +33,15 @@ def _prime_factors(d: int):
     if m > 1:
         ps.append(m)
     return ps
+
+
+def euler_phi(n: int) -> int:
+    if n < 1:
+        raise DomainError(f"phi needs n >= 1, got {n}")
+    result = n
+    for p in _prime_factors(n):
+        result -= result // p
+    return result
 
 
 def squarefree_factor(d: int) -> Fraction:
@@ -114,13 +106,8 @@ def admissible_residues(k: IndexTuple, pattern: TupleType,
         if math.gcd(c, e, d) != 1:
             continue
         trace = residue_trace(k, c, e, d)
-        ok = True
-        for j in range(total):           # chain positions 0 .. |r|-1
-            hit = trace[j + 1] == c
-            if hit != (j in selected):
-                ok = False
-                break
-        if ok:
+        # chain positions 0 .. |r|-1 are at trace[1:]
+        if all((trace[j + 1] == c) == (j in selected) for j in range(total)):
             good.append(e)
     return AdmissibleResidues(tuple(k), pattern, cls, frozenset(good))
 

@@ -36,11 +36,11 @@ def _fmt(x) -> str:
     return f"{float(x):.10f}"
 
 
-def _path(poly, sx, sy) -> str:
-    cmds = []
-    for i, p in enumerate(poly.vertices):
-        cmds.append(("M" if i == 0 else "L") + f"{sx(p.x)},{sy(p.y)}")
-    return " ".join(cmds) + " Z"
+def _path(hs, sx, sy) -> str:
+    """SVG path data of a closed loop of vertex triples (X, Y, W).  X / W is
+    the correctly rounded float of X/W, as float(Fraction(X, W)) is."""
+    return " ".join(("M" if i == 0 else "L") + f"{sx(x / w)},{sy(y / w)}"
+                    for i, (x, y, w) in enumerate(hs)) + " Z"
 
 
 def render_mosaic(mosaics, spec: RenderSpec = RenderSpec()) -> str:
@@ -72,13 +72,10 @@ def render_mosaic(mosaics, spec: RenderSpec = RenderSpec()) -> str:
         base = m.order_min
         for t in m.tiles:
             color = spec.palette[(t.order - base) % len(spec.palette)]
-            lines.append(f'  <path d="{_path(t.poly, sx, sy)}" fill="{color}" '
-                         f'stroke="#333" stroke-width="0.4"/>')
-        for loop in m.outline.loops:
-            cmds = []
-            for i, p in enumerate(loop):
-                cmds.append(("M" if i == 0 else "L") + f"{sx(p.x)},{sy(p.y)}")
-            lines.append(f'  <path d="{" ".join(cmds)} Z" fill="none" '
+            lines.append(f'  <path d="{_path(t.poly.to_h(), sx, sy)}" '
+                         f'fill="{color}" stroke="#333" stroke-width="0.4"/>')
+        for loop in m.outline.to_h():
+            lines.append(f'  <path d="{_path(loop, sx, sy)}" fill="none" '
                          f'stroke="#000" stroke-width="1.2"/>')
         if spec.labels:
             for t in m.tiles:
@@ -106,21 +103,15 @@ def render_tree(tree: AdjacencyTree, name: str = "mosaic") -> str:
         adj[v].append(u)
     for k in adj:
         adj[k].sort(key=lambda t: (len(t), t))
-    order = []
-    seen = set()
-    frontier = [tree.root]
-    seen.add(tree.root)
-    while frontier:
-        cur = frontier.pop(0)
-        order.append(cur)
+    order = [tree.root]
+    seen = {tree.root}
+    for cur in order:             # breadth-first: order grows as it is read
         for nxt in adj[cur]:
             if nxt not in seen:
                 seen.add(nxt)
-                frontier.append(nxt)
-    for k in tree.nodes:          # disconnected safety: emit everything
-        if k not in seen:
-            order.append(k)
-            seen.add(k)
+                order.append(nxt)
+    # disconnected safety: emit everything
+    order += [k for k in tree.nodes if k not in seen]
     lines = [f'graph "{name}" {{', '  node [shape=box];']
     for k in order:
         lines.append(f'  "{label(k)}";')

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from ._intgeom import hclip, hreduce
@@ -31,7 +32,7 @@ from .continuants import (IndexTuple, continuant, continuant_shifted,
                           validate_index_tuple)
 from .errors import BudgetError, DomainError
 from .farey import ProgressionClass, TupleType
-from .geometry import ConvexPolygon, HalfPlane, RatPoint, affine_image, clip
+from .geometry import ConvexPolygon, RatPoint, affine_image
 from .progression import AdmissibleResidues, admissible_residues
 
 # Closure of the Farey triangle {(x, y) in (0,1]^2 : x + y > 1}.
@@ -159,10 +160,11 @@ def strip_polygon(k: IndexTuple, pattern: TupleType, anchor) -> StripPolygon:
         a = -continuant_shifted(k, 2, pos - 1)
         b = continuant(k, pos)
         forms.append((a, b))
-    # The first two strips bound a parallelogram; start from it and clip
-    # with the remaining strips.  Its corners, taken counter-clockwise in
-    # (s0, s1), keep that orientation when the map's determinant
-    # p_{r_1 - 1} is positive, and reverse it when it is negative.
+    # The first two strips bound a parallelogram; start from it and cut
+    # it with the remaining strips by integer clips.  Its corners, taken
+    # counter-clockwise in (s0, s1), keep that orientation when the map's
+    # determinant p_{r_1 - 1} is positive, and reverse it when it is
+    # negative.
     (a0, b0), (a1, b1) = forms[0], forms[1]
     det = Fraction(a0 * b1 - a1 * b0)
     corners = []
@@ -172,13 +174,14 @@ def strip_polygon(k: IndexTuple, pattern: TupleType, anchor) -> StripPolygon:
         corners.append(((c0 * b1 - c1 * b0) / det, (a0 * c1 - a1 * c0) / det))
     if det < 0:
         corners.reverse()
-    poly = ConvexPolygon(corners)
+    hs = ConvexPolygon(corners).to_h()
     for (a, b), ci in zip(forms[2:], anchor[2:]):
-        poly = clip(poly, HalfPlane(a, b, ci + 1))
-        poly = clip(poly, HalfPlane(-a, -b, -(ci - 1)))
-        if poly.is_empty:
+        n, q = ci.numerator, ci.denominator
+        hs = hclip(hs, a * q, b * q, n + q)             # form <= ci + 1
+        hs = hclip(hs, -a * q, -b * q, q - n)           # form >= ci - 1
+        if not hs:
             break
-    return StripPolygon(k, pattern, anchor, poly)
+    return StripPolygon(k, pattern, anchor, ConvexPolygon.from_h(hs))
 
 
 def core_point(k: IndexTuple, pattern: TupleType, target) -> RatPoint:
@@ -223,8 +226,6 @@ def enumerate_tiles(cls: ProgressionClass, max_order: int,
     else:
         k_bound = kernel_cap if kernel_cap is not None else DEFAULT_KERNEL_CAP
     c, d = cls.c % cls.d, cls.d
-    from math import gcd
-
     live0 = []
     root_m = []
     for e in range(d):

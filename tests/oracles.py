@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 
 from fareymosaics import _intgeom
+from fareymosaics.continuants import (continuant, continuant_shifted,
+                                      validate_index_tuple)
 from fareymosaics.density import (CompareReport, DensityLayerWeight,
                                   EmpiricalHistogram, PointClass,
                                   _vertex_angle_fraction, layer_prefactor)
@@ -21,6 +23,7 @@ from fareymosaics.geometry import (ConvexPolygon, HalfPlane, Incidence,
                                    clip, edge_forms, point_h,
                                    rational_str)
 from fareymosaics.mosaics import assemble_with_orphans
+from fareymosaics.tiles import StripPolygon
 
 
 class FractionPolygon:
@@ -735,3 +738,77 @@ def boundary_fragments_pairwise(tiles):
     if any(cnt > 1 for cnt in fragments.values()):
         raise OverlapError("duplicate boundary fragment; tiles overlap")
     return [(point_h(u), point_h(v)) for u, v in fragments]
+
+
+def on_segment_fraction(a, b, p):
+    """Whether the point p lies on the closed segment from a to b."""
+    s = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+    if s != 0:
+        return False
+    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and \
+        min(a.y, b.y) <= p.y <= max(a.y, b.y)
+
+
+def locate_outline_fraction(outline, p):
+    """geometry.locate on an outline as first written: Fraction ray casting
+    over the outline's RatPoint loops."""
+    p = RatPoint(Fraction(p[0]), Fraction(p[1]))
+    loops = outline.loops
+    # Boundary first: vertex beats edge.
+    for loop in loops:
+        n = len(loop)
+        for i in range(n):
+            if loop[i] == p:
+                nxt = loop[(i + 1) % n]
+                prv = loop[i - 1]
+                return Location(Incidence.VERTEX,
+                    ((nxt.x - p.x, nxt.y - p.y), (prv.x - p.x, prv.y - p.y)))
+    for loop in loops:
+        n = len(loop)
+        for i in range(n):
+            if on_segment_fraction(loop[i], loop[(i + 1) % n], p):
+                return Location(Incidence.EDGE)
+    # Even-odd ray casting (+x direction); exact because p is off-boundary.
+    crossings = 0
+    for loop in loops:
+        n = len(loop)
+        for i in range(n):
+            a, b = loop[i], loop[(i + 1) % n]
+            if (a.y > p.y) == (b.y > p.y):
+                continue
+            # x coordinate where the edge crosses the horizontal through p
+            t = (p.y - a.y) / (b.y - a.y)
+            x_cross = a.x + t * (b.x - a.x)
+            if x_cross > p.x:
+                crossings += 1
+    if crossings % 2 == 1:
+        return Location(Incidence.INTERIOR)
+    return Location(Incidence.OUTSIDE)
+
+
+def strip_polygon_clip(k, pattern, anchor):
+    """tiles.strip_polygon as first written: the parallelogram of the first
+    two strips cut by the Fraction HalfPlane clip of geometry.clip."""
+    k = validate_index_tuple(k)
+    pattern = tuple(int(v) for v in pattern)
+    anchor = tuple(Fraction(v) for v in anchor)
+    forms = [(1, 0)]
+    pos = -1
+    for ri in pattern:
+        pos += ri
+        forms.append((-continuant_shifted(k, 2, pos - 1), continuant(k, pos)))
+    (a0, b0), (a1, b1) = forms[0], forms[1]
+    det = Fraction(a0 * b1 - a1 * b0)
+    corners = []
+    for s0, s1 in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
+        c0, c1 = anchor[0] + s0, anchor[1] + s1
+        corners.append(((c0 * b1 - c1 * b0) / det, (a0 * c1 - a1 * c0) / det))
+    if det < 0:
+        corners.reverse()
+    poly = ConvexPolygon(corners)
+    for (a, b), ci in zip(forms[2:], anchor[2:]):
+        poly = clip(poly, HalfPlane(a, b, ci + 1))
+        poly = clip(poly, HalfPlane(-a, -b, -(ci - 1)))
+        if poly.is_empty:
+            break
+    return StripPolygon(k, pattern, anchor, poly)

@@ -157,3 +157,31 @@ class TestVerifyCommands:
         code, out = run(capsys, "verify", "tables", "--c", "1", "--d", "5",
                         "--kernels", "3", "--max-order", "3")
         assert code == 2
+
+
+class TestMalformedArguments:
+    @pytest.mark.parametrize("argv", [
+        ["mosaic", "table", "--c", "1", "--d", "5", "--kernels", "1..x",
+         "--max-order", "5"],
+        ["kseq", "--q", "25", "--pair", "16", "--n", "3"],
+        ["density", "eval", "--c", "1", "--d", "5", "--x", "abc",
+         "--y", "1/2", "--max-order", "5"],
+        ["density", "eval", "--c", "1", "--d", "5", "--x", "1/0",
+         "--y", "1/2", "--max-order", "5"],
+        ["mosaic", "render", "--c", "1", "--d", "5", "--kernel", "3",
+         "--root", "2,x", "--max-order", "5"],
+        ["farey", "list", "--q", "10", "--c", "1"],
+        ["density", "compare", "--hist", "{missing}", "--max-order", "5"],
+        ["density", "compare", "--hist", "{garbled}", "--max-order", "5"],
+    ])
+    def test_exit_2_without_traceback(self, capsys, tmp_path, argv):
+        (tmp_path / "garbled.json").write_text('{"q": 3')
+        argv = [a.format(missing=tmp_path / "missing.json",
+                         garbled=tmp_path / "garbled.json") for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse's own usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (FractionPolygon, boundary_fragments_pairwise,
                      halfplane_intersection,
-                     hcanon, locate_convex_fraction, point_in_polygon_float,
-                     random_convex_polygon, union_outline_pairwise)
+                     hcanon, locate_convex_fraction, locate_outline_fraction,
+                     point_in_polygon_float, random_convex_polygon,
+                     union_outline_pairwise)
 
 from fareymosaics import _intgeom
 from fareymosaics.errors import GeometryError, OverlapError
@@ -410,6 +411,33 @@ class TestLocate:
         assert locate(out, RatPoint.of(2, F(1, 2))).kind == Incidence.EDGE
         assert locate(out, RatPoint.of(0, 0)).kind == Incidence.VERTEX
 
+    def test_outline_locate_matches_fraction_oracle(self):
+        # outlines of chord-cut pieces of grid cells, some cells left out:
+        # several loops, holes, T-junctions and vertex touches
+        rng = random.Random(31)
+        kinds = set()
+        loops = holes = 0
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            cells = []
+            for i in range(n):
+                for j in range(n):
+                    if rng.random() < 0.25:
+                        continue
+                    cell = ConvexPolygon([(i, j), (i + 1, j), (i + 1, j + 1),
+                                          (i, j + 1)])
+                    cells += _cut(rng, cell, 1) if rng.random() < 0.5 \
+                        else [cell]
+            out = union_outline(cells)
+            loops = max(loops, len(out.loops))
+            holes += len(out.holes())
+            for p in outline_probe_points(rng, out):
+                got = locate(out, p)
+                assert got == locate_outline_fraction(out, p), (out, p)
+                kinds.add(got.kind)
+        assert kinds == set(Incidence)
+        assert loops >= 3 and holes >= 3
+
 
 def probe_points(poly):
     """Every vertex, every edge midpoint, the vertex centroid, and a point
@@ -425,6 +453,26 @@ def probe_points(poly):
         pts.append(RatPoint(mx + eps * (v.y - u.y), my - eps * (v.x - u.x)))
     pts.append(RatPoint(sum(v.x for v in verts) / n,
                         sum(v.y for v in verts) / n))
+    return pts
+
+
+def outline_probe_points(rng, outline):
+    """Every vertex, every edge midpoint, points just off each edge on both
+    sides, points beside each vertex on the horizontal through it (where
+    the ray's half-open rule decides), and random points near the
+    outline."""
+    eps = F(1, 10 ** 6)
+    pts = []
+    for loop in outline.loops:
+        for u, v in zip(loop, loop[1:] + loop[:1]):
+            mx, my = (u.x + v.x) / 2, (u.y + v.y) / 2
+            nx, ny = eps * (v.y - u.y), -eps * (v.x - u.x)
+            pts += [u, RatPoint(mx, my), RatPoint(mx + nx, my + ny),
+                    RatPoint(mx - nx, my - ny),
+                    RatPoint(u.x - F(1, 7), u.y), RatPoint(u.x + F(1, 7), u.y)]
+    for _ in range(40):
+        pts.append(RatPoint(F(rng.randint(-12, 60), 12),
+                            F(rng.randint(-12, 60), 12)))
     return pts
 
 
@@ -580,8 +628,9 @@ def constructions(monkeypatch):
 
 
 class TestOneRepresentation:
-    """Polygons keep integer triples only: the hot paths build no RatPoint,
-    and the integer operations build no Fraction for vertices."""
+    """Polygons and outlines keep integer triples only: the hot paths build
+    no RatPoint, and the integer operations build no Fraction for
+    vertices."""
 
     def test_hot_paths_build_no_ratpoint(self, constructions):
         from fareymosaics.density import DensityQuery, g1_eval
@@ -611,6 +660,27 @@ class TestOneRepresentation:
         out = union_outline(polys)
         assert constructions["RatPoint"] - before <= \
             sum(len(loop) for loop in out.loops)
+
+    def test_outline_paths_build_no_ratpoint(self, constructions):
+        from fareymosaics.farey import ProgressionClass
+        from fareymosaics.mosaics import assemble_with_orphans, mosaic_name
+        from fareymosaics.tiles import enumerate_tiles
+
+        tiles = enumerate_tiles(ProgressionClass(1, 5), 16, 6)
+        probes = [RatPoint(F(3, 4), F(3, 4)), RatPoint(F(3, 5), F(1)),
+                  RatPoint(F(1, 10), F(1, 10)), RatPoint(F(1), F(1))]
+        start = constructions["RatPoint"]
+        (mosaic,), orphans = assemble_with_orphans(tiles, 6)
+        assert constructions["RatPoint"] == start
+        out = union_outline([t.poly for t in mosaic.tiles])
+        assert constructions["RatPoint"] == start
+        name = mosaic_name(mosaic)
+        assert constructions["RatPoint"] == start
+        kinds = [locate(out, p).kind for p in probes]
+        assert constructions["RatPoint"] == start
+        assert not orphans and name == "SH_1[6]"
+        assert kinds == [Incidence.INTERIOR, Incidence.EDGE,
+                         Incidence.OUTSIDE, Incidence.VERTEX]
 
     def test_integer_operations_build_no_vertex_fraction(self, constructions):
         rng = random.Random(61)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from oracles import (first_return_tuples, halfplane_intersection,
-                     tile_list_digest)
+                     strip_polygon_clip, tile_list_digest)
 
 from fareymosaics._intgeom import interiors_intersect
 from fareymosaics.continuants import continuant, index_sequence_real
@@ -147,6 +147,35 @@ class TestStripPolygon:
         sp = strip_polygon(k, (4, 6), (F(16, 25), F(11, 25), F(21, 25)))
         assert not sp.poly.is_empty
         assert area(sp.poly) > 0
+
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_halfplane_clip_oracle(self, s):
+        rng = random.Random(40 + s)
+        nonempty = 0
+        for _ in range(150):
+            pattern = tuple(rng.randint(1, 3) for _ in range(s))
+            k = tuple(rng.randint(1, 5) for _ in range(sum(pattern) - 1))
+            anchor = [F(rng.randint(0, 12), rng.choice((1, 3, 4, 12)))
+                      for _ in range(s + 1)]
+            if rng.random() < 0.5:
+                # near the chain values of one point, so that every strip
+                # meets the others: x, then x_j at j = r_1 - 1, ...
+                x, y = F(rng.randint(1, 12), 12), F(rng.randint(1, 12), 12)
+                js = [sum(pattern[:i + 1]) - 1 for i in range(s)]
+                anchor = [x] + [continuant(k, j) * y -
+                                continuant(k[1:], j - 1) * x for j in js]
+                anchor = [v + F(rng.randint(-5, 5), 12) for v in anchor]
+            if continuant(k, pattern[0] - 1) == 0:
+                # a degenerate parallelogram fails alike in both
+                for build in (strip_polygon, strip_polygon_clip):
+                    with pytest.raises(ZeroDivisionError):
+                        build(k, pattern, anchor)
+                continue
+            sp = strip_polygon(k, pattern, anchor)
+            assert sp == strip_polygon_clip(k, pattern, anchor)
+            nonempty += not sp.poly.is_empty
+        assert nonempty >= 50
 
 
 class TestCorePoint:
@@ -321,3 +350,27 @@ class TestLeanTileList:
                                 budget=10 ** 7)
         assert len(tiles) == n
         assert tile_list_digest(tiles) == digest
+
+
+def assert_reversal_closed(tiles):
+    """Each tile's reversal of k is enumerated, as the diagonal reflection
+    of its polygon with the same kernel and multiplicity (mirror pairs of
+    F^Q have reversed types)."""
+    by_k = {t.k: t for t in tiles}
+    for t in tiles:
+        r = by_k.get(t.k[::-1])
+        assert r is not None, t.k
+        assert r.poly == t.poly.reflected(), t.k
+        assert (r.kernel, r.multiplicity) == (t.kernel, t.multiplicity), t.k
+
+
+class TestReversalClosure:
+    @pytest.mark.parametrize("c, d, max_order, cap", [
+        (1, 5, 14, 250), (3, 6, 12, 12), (0, 12, 12, 12), (2, 7, 12, 40)])
+    def test_enumeration_closed_under_reversal(self, c, d, max_order, cap):
+        assert_reversal_closed(enumerate_tiles(
+            ProgressionClass(c, d), max_order, kernel_cap=cap,
+            budget=10 ** 7))
+
+    def test_d12_enumeration_closed_under_reversal(self, d12_tiles_30):
+        assert_reversal_closed(d12_tiles_30)
